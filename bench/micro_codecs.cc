@@ -66,13 +66,13 @@ void BM_Decompress(benchmark::State& state, const char* codec_name) {
 BENCHMARK_CAPTURE(BM_Compress, snappylike, "snappylike");
 BENCHMARK_CAPTURE(BM_Compress, lz4like, "lz4like");
 BENCHMARK_CAPTURE(BM_Compress, zlib, "zlib");
-BENCHMARK_CAPTURE(BM_Compress, bzip2like, "bzip2like");
-BENCHMARK_CAPTURE(BM_Compress, lzmalike, "lzmalike");
+BENCHMARK_CAPTURE(BM_Compress, bzip2, "bzip2");
+BENCHMARK_CAPTURE(BM_Compress, lzma, "lzma");
 BENCHMARK_CAPTURE(BM_Decompress, snappylike, "snappylike");
 BENCHMARK_CAPTURE(BM_Decompress, lz4like, "lz4like");
 BENCHMARK_CAPTURE(BM_Decompress, zlib, "zlib");
-BENCHMARK_CAPTURE(BM_Decompress, bzip2like, "bzip2like");
-BENCHMARK_CAPTURE(BM_Decompress, lzmalike, "lzmalike");
+BENCHMARK_CAPTURE(BM_Decompress, bzip2, "bzip2");
+BENCHMARK_CAPTURE(BM_Decompress, lzma, "lzma");
 
 void BM_AesGcmSeal(benchmark::State& state) {
   const SymmetricKey key = SymmetricKey::FromSeed("k");

@@ -160,7 +160,7 @@ int PerfSuiteMain(int argc, char** argv) {
     }
   }
 
-  // --- AES-GCM: hardware kernel vs portable EVP.
+  // --- AES-GCM (OpenSSL EVP).
   {
     const SymmetricKey key = SymmetricKey::FromSeed("perf");
     const std::string iv(kAesGcmIvBytes, '\x07');
@@ -169,13 +169,6 @@ int PerfSuiteMain(int argc, char** argv) {
         [&] { (void)AesGcmEncryptWithIv(key, iv, payload); });
     run("aes_gcm.open.64k", payload.size(),
         [&] { (void)AesGcmDecrypt(key, envelope); });
-    {
-      ScopedLevel scalar(SimdLevel::kScalar);
-      run("aes_gcm.portable.seal.64k", payload.size(),
-          [&] { (void)AesGcmEncryptWithIv(key, iv, payload); });
-      run("aes_gcm.portable.open.64k", payload.size(),
-          [&] { (void)AesGcmDecrypt(key, envelope); });
-    }
   }
 
   // --- Pack encode/decode: the gated >=1.5x cell (serialize+compress /
@@ -246,7 +239,6 @@ int PerfSuiteMain(int argc, char** argv) {
   json += "  \"dispatch_level\": \"";
   json += SimdLevelName(ambient);
   json += "\",\n";
-  json += std::string("  \"aes_gcm_hw\": ") + (AesGcmHardwareEnabled() ? "true" : "false") + ",\n";
   json += "  \"cells\": [\n";
   for (size_t i = 0; i < cells.size(); ++i) {
     const BenchCell& c = cells[i];

@@ -19,8 +19,6 @@ CpuFeatures ProbeCpu() {
   __builtin_cpu_init();
   f.sse42 = __builtin_cpu_supports("sse4.2") != 0;
   f.avx2 = __builtin_cpu_supports("avx2") != 0;
-  f.aesni = __builtin_cpu_supports("aes") != 0;
-  f.pclmul = __builtin_cpu_supports("pclmul") != 0;
 #endif
   f.max_level = f.avx2 ? SimdLevel::kAvx2
                        : (f.sse42 ? SimdLevel::kSse42 : SimdLevel::kScalar);
@@ -62,13 +60,6 @@ const CpuFeatures& HostCpuFeatures() {
 
 SimdLevel CurrentSimdLevel() {
   return static_cast<SimdLevel>(LevelAtom().load(std::memory_order_relaxed));
-}
-
-bool AesGcmHardwareEnabled() {
-  const CpuFeatures& f = HostCpuFeatures();
-  // The GCM kernel needs AES-NI + PCLMUL + SSSE3 byte shuffles; any SSE4.2-
-  // capable dispatch level implies the latter. Forcing scalar disables it.
-  return f.aesni && f.pclmul && CurrentSimdLevel() != SimdLevel::kScalar;
 }
 
 SimdLevel OverrideSimdLevelForTest(SimdLevel level) {

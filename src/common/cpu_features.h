@@ -1,10 +1,11 @@
 // Runtime CPU-feature probe and SIMD dispatch control.
 //
-// All vectorized hot-path kernels (codec wild copies, AES-NI/PCLMUL GCM,
-// hardware CRC32C) consult this module at call time and fall back to their
-// portable scalar implementations when the hardware lacks the instruction set
-// or the operator forced scalar mode. The scalar paths are the test oracle:
-// SIMD output must be byte-identical (tests/simd_kernels_test.cc).
+// The in-repo vectorized hot-path kernels (codec wild copies, hardware
+// CRC32C) consult this module at call time and fall back to their portable
+// scalar implementations when the hardware lacks the instruction set or the
+// operator forced scalar mode. The scalar paths are the test oracle: SIMD
+// output must be byte-identical (tests/simd_kernels_test.cc). AES-GCM is not
+// dispatched here; OpenSSL picks its own implementation.
 //
 // Environment knobs (read once, before the first dispatch decision):
 //   MC_NO_SIMD=1     force every kernel onto its scalar path
@@ -37,8 +38,6 @@ enum class SimdLevel : int {
 struct CpuFeatures {
   bool sse42 = false;
   bool avx2 = false;
-  bool aesni = false;   // AES round instructions
-  bool pclmul = false;  // carry-less multiply (GHASH, CRC folding)
   SimdLevel max_level = SimdLevel::kScalar;
 };
 
@@ -49,10 +48,6 @@ const CpuFeatures& HostCpuFeatures();
 // or kScalar when MC_NO_SIMD=1. Cheap (one relaxed atomic load) — kernels
 // call this per operation.
 SimdLevel CurrentSimdLevel();
-
-// True when the AES-NI + PCLMUL GCM kernel should be used. Honors
-// MC_NO_SIMD / overrides: forcing scalar also forces the portable cipher.
-bool AesGcmHardwareEnabled();
 
 // Test hook: clamps to hardware capability and returns the level actually in
 // effect. Pass the host max_level to restore the default.

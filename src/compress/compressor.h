@@ -1,10 +1,11 @@
 // Compressor interface and registry.
 //
 // MiniCrypt is codec-agnostic (paper §2.4, §3): packs are compressed with any
-// registered codec before encryption. This repo ships five general-purpose
-// codecs occupying the ratio/speed trade-off positions the paper surveys
-// (snappy-like, lz4-like, zlib, bzip2-like, lzma-like), plus two strawman
-// codecs (RLE, dictionary) used only to reproduce the §2.4 discussion.
+// registered codec before encryption. This repo ships the five general-purpose
+// codecs the paper surveys: zlib, bzip2 and lzma wrap the system libraries;
+// snappy-like and lz4-like are from-scratch stand-ins for the two fast LZ
+// codecs. Two strawman codecs (RLE, dictionary) exist only to reproduce the
+// §2.4 discussion.
 //
 // Framing: every codec's output is self-describing — Decompress needs no
 // out-of-band length. Implementations must round-trip arbitrary bytes.
@@ -25,7 +26,7 @@ class Compressor {
  public:
   virtual ~Compressor() = default;
 
-  // Stable codec name ("zlib", "lz4like", "snappylike", "bzip2like", "lzmalike").
+  // Stable codec name ("zlib", "lz4like", "snappylike", "bzip2", "lzma").
   virtual std::string_view Name() const = 0;
 
   // Compresses `input` into a self-framed buffer.

@@ -1,5 +1,6 @@
 #include "src/compress/lz4_like.h"
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
 #include <vector>
@@ -135,7 +136,9 @@ Result<std::string> DecompressScalar(std::string_view input) {
     return Status::Corruption("lz4like: oversized frame");
   }
   std::string out;
-  out.reserve(raw_size);
+  // Reserve no more than the body can expand to (see DecompressFast), so a
+  // forged raw_size cannot force a large allocation.
+  out.reserve(std::min<uint64_t>(raw_size, in.size() * 512 + 1024));
 
   while (out.size() < raw_size) {
     if (in.empty()) {

@@ -123,7 +123,9 @@ Result<std::string> DecompressScalar(std::string_view input) {
     return Status::Corruption("snappylike: oversized frame");
   }
   std::string out;
-  out.reserve(raw_size);
+  // Reserve no more than the body can expand to (see DecompressFast), so a
+  // forged raw_size cannot force a large allocation.
+  out.reserve(std::min<uint64_t>(raw_size, in.size() * 32 + 1024));
 
   while (!in.empty()) {
     const auto tag = static_cast<unsigned char>(in.front());

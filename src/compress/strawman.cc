@@ -1,5 +1,7 @@
 #include "src/compress/strawman.h"
 
+#include <algorithm>
+
 #include "src/common/coding.h"
 
 namespace minicrypt {
@@ -28,7 +30,9 @@ Result<std::string> RleCompressor::Decompress(std::string_view input) const {
     return Status::Corruption("rle: oversized frame");
   }
   std::string out;
-  out.reserve(total);
+  // A hint only, capped so a forged total cannot force a large allocation;
+  // runs past it grow the string as they decode.
+  out.reserve(std::min<uint64_t>(total, in.size() * 64));
   while (out.size() < total) {
     MC_ASSIGN_OR_RETURN(uint64_t run, GetVarint64(&in));
     if (in.empty() || run == 0 || out.size() + run > total) {

@@ -2,15 +2,14 @@
 
 #include <zlib.h>
 
-#include "src/common/coding.h"
+#include "src/compress/frame.h"
 
 namespace minicrypt {
 
 ZlibCompressor::ZlibCompressor(int level, std::string_view name) : level_(level), name_(name) {}
 
 Result<std::string> ZlibCompressor::Compress(std::string_view input) const {
-  std::string out;
-  PutVarint64(&out, input.size());
+  MC_ASSIGN_OR_RETURN(std::string out, BeginFrame(input.size(), name_));
   uLongf bound = compressBound(static_cast<uLong>(input.size()));
   const size_t header = out.size();
   out.resize(header + bound);
@@ -25,20 +24,25 @@ Result<std::string> ZlibCompressor::Compress(std::string_view input) const {
 }
 
 Result<std::string> ZlibCompressor::Decompress(std::string_view input) const {
-  std::string_view rest = input;
-  MC_ASSIGN_OR_RETURN(uint64_t raw_size, GetVarint64(&rest));
-  // Reject absurd declared sizes before allocating (corrupted frame defence).
-  if (raw_size > (1ULL << 32)) {
-    return Status::Corruption("zlib frame declares oversized payload");
+  MC_ASSIGN_OR_RETURN(const Frame frame, ParseFrame(input, name_));
+  z_stream zs{};
+  if (inflateInit(&zs) != Z_OK) {
+    return Status::Internal("zlib inflateInit failed");
   }
-  std::string out(raw_size, '\0');
-  uLongf out_len = static_cast<uLongf>(raw_size);
-  int rc = uncompress(reinterpret_cast<Bytef*>(out.data()), &out_len,
-                      reinterpret_cast<const Bytef*>(rest.data()),
-                      static_cast<uLong>(rest.size()));
-  if (rc != Z_OK || out_len != raw_size) {
-    return Status::Corruption("zlib uncompress failed rc=" + std::to_string(rc));
-  }
+  zs.next_in = reinterpret_cast<Bytef*>(const_cast<char*>(frame.body.data()));
+  zs.avail_in = static_cast<uInt>(frame.body.size());
+  auto out = DecodeFrameBody(frame, name_, [&](char* dst, size_t avail) -> Result<DecodeStep> {
+    zs.next_out = reinterpret_cast<Bytef*>(dst);
+    zs.avail_out = static_cast<uInt>(avail);
+    // Z_BUF_ERROR only means no progress was possible; DecodeFrameBody
+    // reports that as a truncated stream.
+    const int rc = inflate(&zs, Z_NO_FLUSH);
+    if (rc != Z_OK && rc != Z_STREAM_END && rc != Z_BUF_ERROR) {
+      return Status::Corruption("zlib inflate failed rc=" + std::to_string(rc));
+    }
+    return DecodeStep{avail - zs.avail_out, zs.avail_in, rc == Z_STREAM_END};
+  });
+  inflateEnd(&zs);
   return out;
 }
 

@@ -8,9 +8,6 @@
 #include <cstring>
 #include <memory>
 
-#include "src/common/cpu_features.h"
-#include "src/crypto/aes_gcm_simd.h"
-#include "src/obs/metrics.h"
 
 namespace minicrypt {
 
@@ -21,13 +18,9 @@ struct CipherCtxDeleter {
 };
 using CipherCtx = std::unique_ptr<EVP_CIPHER_CTX, CipherCtxDeleter>;
 
-bool UseGcmKernel() {
-  return internal::AesGcmSimdCompiled() && AesGcmHardwareEnabled();
-}
-
-// Portable AES-256-GCM via OpenSSL EVP; the oracle for the AES-NI kernel.
-Result<std::string> GcmEncryptPortable(const SymmetricKey& key, const uint8_t* iv,
-                                       std::string_view plaintext, std::string_view aad) {
+// AES-256-GCM via OpenSSL EVP, which selects its own AES-NI/PCLMUL code.
+Result<std::string> EvpGcmEncrypt(const SymmetricKey& key, const uint8_t* iv,
+                                  std::string_view plaintext, std::string_view aad) {
   CipherCtx ctx(EVP_CIPHER_CTX_new());
   if (!ctx) {
     return Status::Internal("EVP_CIPHER_CTX_new failed");
@@ -70,9 +63,9 @@ Result<std::string> GcmEncryptPortable(const SymmetricKey& key, const uint8_t* i
   return out;
 }
 
-Result<std::string> GcmDecryptPortable(const SymmetricKey& key, const uint8_t* iv,
-                                       std::string_view ct, std::string_view tag,
-                                       std::string_view aad) {
+Result<std::string> EvpGcmDecrypt(const SymmetricKey& key, const uint8_t* iv,
+                                  std::string_view ct, std::string_view tag,
+                                  std::string_view aad) {
   CipherCtx ctx(EVP_CIPHER_CTX_new());
   if (!ctx) {
     return Status::Internal("EVP_CIPHER_CTX_new failed");
@@ -242,20 +235,7 @@ Result<std::string> AesGcmEncryptWithIv(const SymmetricKey& key, std::string_vie
   if (iv.size() != kAesGcmIvBytes) {
     return Status::InvalidArgument("GCM IV must be 12 bytes");
   }
-  const auto* iv_bytes = reinterpret_cast<const uint8_t*>(iv.data());
-  if (UseGcmKernel()) {
-    OBS_COUNTER_INC("crypto.gcm.dispatch.aesni");
-    std::string out(iv);
-    out.resize(kAesGcmIvBytes + plaintext.size() + kAesGcmTagBytes);
-    auto* ct = reinterpret_cast<uint8_t*>(out.data() + kAesGcmIvBytes);
-    internal::AesGcmSimdEncrypt(key.data(), iv_bytes,
-                                reinterpret_cast<const uint8_t*>(aad.data()), aad.size(),
-                                reinterpret_cast<const uint8_t*>(plaintext.data()),
-                                plaintext.size(), ct, ct + plaintext.size());
-    return out;
-  }
-  OBS_COUNTER_INC("crypto.gcm.dispatch.portable");
-  return GcmEncryptPortable(key, iv_bytes, plaintext, aad);
+  return EvpGcmEncrypt(key, reinterpret_cast<const uint8_t*>(iv.data()), plaintext, aad);
 }
 
 Result<std::string> AesGcmEncrypt(const SymmetricKey& key, std::string_view plaintext,
@@ -275,22 +255,7 @@ Result<std::string> AesGcmDecrypt(const SymmetricKey& key, std::string_view enve
   const std::string_view ct =
       envelope.substr(kAesGcmIvBytes, envelope.size() - kAesGcmIvBytes - kAesGcmTagBytes);
   const std::string_view tag = envelope.substr(envelope.size() - kAesGcmTagBytes);
-
-  if (UseGcmKernel()) {
-    OBS_COUNTER_INC("crypto.gcm.dispatch.aesni");
-    std::string out(ct.size(), '\0');
-    if (!internal::AesGcmSimdDecrypt(key.data(), iv,
-                                     reinterpret_cast<const uint8_t*>(aad.data()), aad.size(),
-                                     reinterpret_cast<const uint8_t*>(ct.data()),
-                                     ct.size(),
-                                     reinterpret_cast<const uint8_t*>(tag.data()),
-                                     reinterpret_cast<uint8_t*>(out.data()))) {
-      return Status::Corruption("GCM tag check failed");
-    }
-    return out;
-  }
-  OBS_COUNTER_INC("crypto.gcm.dispatch.portable");
-  return GcmDecryptPortable(key, iv, ct, tag, aad);
+  return EvpGcmDecrypt(key, iv, ct, tag, aad);
 }
 
 }  // namespace minicrypt

@@ -1,9 +1,8 @@
 // Cryptographic primitives used by MiniCrypt (paper §2.5): AES-256-GCM pack
 // encryption with a random IV per envelope (AES-CBC retained for comparison),
 // SHA-256 hashing of ciphertexts (the update-if token), and an HMAC-SHA256
-// PRF for deterministic packID encryption. Portable paths are backed by
-// OpenSSL's EVP layer; GCM additionally has an AES-NI + PCLMUL kernel
-// selected at runtime (src/common/cpu_features.h).
+// PRF for deterministic packID encryption. All of it is OpenSSL: the ciphers
+// go through the EVP layer, which picks AES-NI/PCLMUL code when the CPU has it.
 
 #ifndef MINICRYPT_SRC_CRYPTO_CRYPTO_H_
 #define MINICRYPT_SRC_CRYPTO_CRYPTO_H_
@@ -81,16 +80,12 @@ Result<std::string> AesCbcDecrypt(const SymmetricKey& key, std::string_view enve
 // encrypted or stored in the envelope. Decryption must present the same
 // bytes, which is how envelopes are bound to their table / packID / key
 // epoch (an envelope spliced into another context fails the tag check).
-//
-// Dispatches at runtime between the AES-NI + PCLMUL kernel
-// (src/crypto/aes_gcm_simd.cc) and the portable OpenSSL EVP path; both
-// produce identical envelopes for identical IVs.
 Result<std::string> AesGcmEncrypt(const SymmetricKey& key, std::string_view plaintext,
                                   std::string_view aad = {});
 
-// Deterministic variant with a caller-supplied 12-byte IV. Exists for the
-// SIMD/portable differential tests; production callers must use AesGcmEncrypt
-// (IV reuse under the same key breaks GCM).
+// Deterministic variant with a caller-supplied 12-byte IV, for golden-vector
+// tests and benchmarks that need repeatable envelopes. Production callers must
+// use AesGcmEncrypt (IV reuse under the same key breaks GCM).
 Result<std::string> AesGcmEncryptWithIv(const SymmetricKey& key, std::string_view iv,
                                         std::string_view plaintext,
                                         std::string_view aad = {});

@@ -110,6 +110,94 @@ TEST(Aes, GcmAadBindsTheContext) {
   EXPECT_TRUE(AesGcmDecrypt(key, *bare).ok());
 }
 
+TEST(Aes, GcmRoundTripsBySize) {
+  const SymmetricKey key = SymmetricKey::FromSeed("gcm-roundtrip");
+  Rng rng(77);
+  for (size_t n : {0u, 1u, 16u, 100u, 4096u}) {
+    const std::string pt = rng.Bytes(n);
+    auto env = AesGcmEncrypt(key, pt);
+    ASSERT_TRUE(env.ok());
+    ASSERT_EQ(env->size(), kAesGcmIvBytes + n + kAesGcmTagBytes);
+    auto d = AesGcmDecrypt(key, *env);
+    ASSERT_TRUE(d.ok());
+    EXPECT_EQ(*d, pt) << "size " << n;
+  }
+}
+
+TEST(Aes, GcmRejectsTampering) {
+  const SymmetricKey key = SymmetricKey::FromSeed("gcm-tamper");
+  Rng rng(55);
+  const std::string pt = rng.Bytes(500);
+  auto env = AesGcmEncrypt(key, pt);
+  ASSERT_TRUE(env.ok());
+  ASSERT_TRUE(AesGcmDecrypt(key, *env).ok());
+  // Flip one byte in the IV, body, and tag regions.
+  for (size_t pos : {size_t{3}, kAesGcmIvBytes + 7, env->size() - 2}) {
+    std::string tampered = *env;
+    tampered[pos] ^= 1;
+    EXPECT_FALSE(AesGcmDecrypt(key, tampered).ok()) << "pos " << pos;
+  }
+  EXPECT_FALSE(AesGcmDecrypt(key, "short").ok());
+  // Wrong key.
+  EXPECT_FALSE(AesGcmDecrypt(SymmetricKey::FromSeed("other"), *env).ok());
+}
+
+std::string HexOf(std::string_view bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (unsigned char c : bytes) {
+    out.push_back(kDigits[c >> 4]);
+    out.push_back(kDigits[c & 0xf]);
+  }
+  return out;
+}
+
+// Pins the envelope bytes (IV || ciphertext || tag) and the AAD binding that
+// stored packs depend on: SHA-256 of each envelope for a fixed key, IV,
+// plaintext and AAD. A change here means existing envelopes no longer open.
+// The digests were recorded while an in-repo AES-NI kernel still ran beside
+// OpenSSL EVP, and both produced these exact envelopes.
+TEST(Aes, GcmEnvelopeGoldenDigests) {
+  const SymmetricKey key = SymmetricKey::FromSeed("gcm-golden");
+  const std::string iv = "golden-iv-12";
+  ASSERT_EQ(iv.size(), kAesGcmIvBytes);
+  const std::string aad = std::string("table") + '\0' + "pack-17";
+  struct Golden {
+    size_t size;
+    const char* bare;      // sha256(envelope) without AAD
+    const char* with_aad;  // sha256(envelope) sealed over `aad`
+  };
+  const Golden kGolden[] = {
+      {0, "e71618a9c8eb60120162067b2fc91780e32e56f11e328964d67b7c5129beed3d",
+       "a7a66adc2881d50188c6beab519c50e1e93937b60ec022d775f7a460444669c4"},
+      {1, "3cb9241cd7d9db0ddd3e4615347691f0fc611bbfb2d01cfb2dcc8be81432741e",
+       "978dd1fa5ce287f45f5c39246033103acb7996fb27f7fb93908124fd583e5654"},
+      {15, "2237c74ff6e9c3cd24c6acd2af70e4225800d6e7783224faf470ce1c81c4fd9d",
+       "0900d74e93d48c9ae424b859e46a1d79c916da0a36175c116d039121692daf84"},
+      {16, "88ae772b17b978103e6e3dba51b3fdba3ddafb9cbc371effaaa42b31b8bbb6f2",
+       "8f5c1b66eaa0d2cb575a8d4e0217757bfde47c1124fcb496ee12f8755d64db9e"},
+      {17, "6cf344eca0834dfcf4d0c3ec146ce247843a2a639db39012ecab611b6a73b183",
+       "f2835f3cbdd98abdaece2086d62f18028518503db4f237c4c75b33d77e9c9aef"},
+      {4099, "5114d392fd348a2190f732527a8177563728f006b37389a92ca9aa4f4378dc0d",
+       "c6996dd8bd079f3a76c36481187baaeb6ba4173d74c6e4b41adab916691ebbc2"},
+  };
+  for (const Golden& g : kGolden) {
+    std::string pt(g.size, '\0');
+    for (size_t i = 0; i < pt.size(); ++i) {
+      pt[i] = static_cast<char>((i * 131 + 7) & 0xff);
+    }
+    auto bare = AesGcmEncryptWithIv(key, iv, pt);
+    auto bound = AesGcmEncryptWithIv(key, iv, pt, aad);
+    ASSERT_TRUE(bare.ok());
+    ASSERT_TRUE(bound.ok());
+    EXPECT_EQ(HexOf(Sha256(*bare)), g.bare) << "size " << g.size;
+    EXPECT_EQ(HexOf(Sha256(*bound)), g.with_aad) << "size " << g.size << " with AAD";
+    auto opened = AesGcmDecrypt(key, *bound, aad);
+    ASSERT_TRUE(opened.ok()) << "size " << g.size;
+    EXPECT_EQ(*opened, pt);
+  }
+}
+
 TEST(Aes, MalformedEnvelopeLengthsRejected) {
   const SymmetricKey key = SymmetricKey::FromSeed("k");
   EXPECT_TRUE(AesCbcDecrypt(key, "").status().IsCorruption());

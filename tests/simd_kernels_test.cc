@@ -16,7 +16,6 @@
 #include "src/common/random.h"
 #include "src/compress/lz4_like.h"
 #include "src/compress/snappy_like.h"
-#include "src/crypto/crypto.h"
 
 namespace minicrypt {
 namespace {
@@ -225,120 +224,6 @@ TEST(SimdKernels, Crc32cExtendComposes) {
     ScopedSimdLevel scoped(level);
     EXPECT_EQ(Crc32c(a + b), Crc32cExtend(Crc32c(a), b));
     EXPECT_EQ(Crc32c(a), Crc32cScalar(a));
-  }
-}
-
-TEST(SimdKernels, AesGcmHardwareMatchesOpenSsl) {
-  const auto& host = HostCpuFeatures();
-  if (!host.aesni || !host.pclmul || host.max_level == SimdLevel::kScalar) {
-    GTEST_SKIP() << "no AES-NI/PCLMUL";
-  }
-  const SymmetricKey key = SymmetricKey::FromSeed("gcm-differential");
-  const std::string iv(kAesGcmIvBytes, '\x42');
-  Rng rng(4242);
-  for (size_t n : {0u, 1u, 15u, 16u, 17u, 31u, 32u, 33u, 63u, 64u, 65u, 255u,
-                   1000u, 65536u}) {
-    const std::string pt = rng.Bytes(n);
-    std::string hw_env, sw_env;
-    {
-      ScopedSimdLevel hw(host.max_level);
-      ASSERT_TRUE(AesGcmHardwareEnabled());
-      hw_env = AesGcmEncryptWithIv(key, iv, pt).value();
-    }
-    {
-      ScopedSimdLevel scalar(SimdLevel::kScalar);
-      ASSERT_FALSE(AesGcmHardwareEnabled());
-      sw_env = AesGcmEncryptWithIv(key, iv, pt).value();
-    }
-    EXPECT_EQ(hw_env, sw_env) << "GCM envelope diverges at size " << n;
-    // Cross-decrypt: each path opens the other's envelope.
-    {
-      ScopedSimdLevel hw(host.max_level);
-      auto d = AesGcmDecrypt(key, sw_env);
-      ASSERT_TRUE(d.ok()) << "size " << n;
-      EXPECT_EQ(d.value(), pt);
-    }
-    {
-      ScopedSimdLevel scalar(SimdLevel::kScalar);
-      auto d = AesGcmDecrypt(key, hw_env);
-      ASSERT_TRUE(d.ok()) << "size " << n;
-      EXPECT_EQ(d.value(), pt);
-    }
-  }
-}
-
-TEST(SimdKernels, AesGcmRejectsTampering) {
-  const SymmetricKey key = SymmetricKey::FromSeed("gcm-tamper");
-  Rng rng(55);
-  const std::string pt = rng.Bytes(500);
-  for (SimdLevel level : SupportedSimdLevels()) {
-    ScopedSimdLevel scoped(level);
-    auto env = AesGcmEncrypt(key, pt);
-    ASSERT_TRUE(env.ok());
-    ASSERT_TRUE(AesGcmDecrypt(key, env.value()).ok());
-    // Flip one byte in the IV, body, and tag regions.
-    for (size_t pos : {size_t{3}, kAesGcmIvBytes + 7, env.value().size() - 2}) {
-      std::string tampered = env.value();
-      tampered[pos] ^= 1;
-      EXPECT_FALSE(AesGcmDecrypt(key, tampered).ok())
-          << SimdLevelName(level) << " pos " << pos;
-    }
-    EXPECT_FALSE(AesGcmDecrypt(key, "short").ok());
-    // Wrong key.
-    EXPECT_FALSE(AesGcmDecrypt(SymmetricKey::FromSeed("other"), env.value()).ok());
-  }
-}
-
-TEST(SimdKernels, AesGcmRoundTripsAtEveryLevel) {
-  const SymmetricKey key = SymmetricKey::FromSeed("gcm-roundtrip");
-  Rng rng(77);
-  for (SimdLevel level : SupportedSimdLevels()) {
-    ScopedSimdLevel scoped(level);
-    for (size_t n : {0u, 1u, 16u, 100u, 4096u}) {
-      const std::string pt = rng.Bytes(n);
-      auto env = AesGcmEncrypt(key, pt);
-      ASSERT_TRUE(env.ok());
-      ASSERT_EQ(env.value().size(), kAesGcmIvBytes + n + kAesGcmTagBytes);
-      auto d = AesGcmDecrypt(key, env.value());
-      ASSERT_TRUE(d.ok());
-      EXPECT_EQ(d.value(), pt) << SimdLevelName(level) << " size " << n;
-    }
-  }
-}
-
-TEST(SimdKernels, AesGcmAadByteIdenticalAcrossLevels) {
-  const SymmetricKey key = SymmetricKey::FromSeed("gcm-aad-differential");
-  const std::string iv(kAesGcmIvBytes, '\x17');
-  Rng rng(4321);
-  // AAD lengths straddle the GHASH block and 4-block-batch boundaries.
-  for (size_t aad_len : {1u, 15u, 16u, 17u, 63u, 64u, 65u, 300u}) {
-    const std::string aad = rng.Bytes(aad_len);
-    for (size_t n : {0u, 1u, 31u, 64u, 1000u}) {
-      const std::string pt = rng.Bytes(n);
-      std::string reference;
-      bool have_reference = false;
-      for (SimdLevel level : SupportedSimdLevels()) {
-        ScopedSimdLevel scoped(level);
-        auto env = AesGcmEncryptWithIv(key, iv, pt, aad);
-        ASSERT_TRUE(env.ok()) << SimdLevelName(level);
-        if (!have_reference) {
-          reference = env.value();
-          have_reference = true;
-        } else {
-          EXPECT_EQ(env.value(), reference)
-              << SimdLevelName(level) << " diverges at aad " << aad_len << " pt " << n;
-        }
-        // Every level opens the reference envelope under the same AAD...
-        auto d = AesGcmDecrypt(key, reference, aad);
-        ASSERT_TRUE(d.ok()) << SimdLevelName(level);
-        EXPECT_EQ(d.value(), pt);
-        // ...and rejects a perturbed or missing AAD.
-        std::string wrong = aad;
-        wrong[aad_len / 2] ^= 1;
-        EXPECT_FALSE(AesGcmDecrypt(key, reference, wrong).ok()) << SimdLevelName(level);
-        EXPECT_FALSE(AesGcmDecrypt(key, reference).ok()) << SimdLevelName(level);
-      }
-    }
   }
 }
 
