@@ -2,8 +2,6 @@
 
 #include <bzlib.h>
 
-#include "src/compress/frame.h"
-
 namespace minicrypt {
 
 namespace {
@@ -29,15 +27,15 @@ Result<std::string> Bzip2Compressor::Compress(std::string_view input) const {
   return out;
 }
 
-Result<std::string> Bzip2Compressor::Decompress(std::string_view input) const {
-  MC_ASSIGN_OR_RETURN(const Frame frame, ParseFrame(input, Name()));
+Result<std::string> Bzip2Compressor::DecodeBody(const Frame& frame,
+                                                const PrefixPredicate& enough) const {
   bz_stream bz{};
   if (BZ2_bzDecompressInit(&bz, /*verbosity=*/0, /*small=*/0) != BZ_OK) {
     return Status::Internal("bzip2 decompress init failed");
   }
   bz.next_in = const_cast<char*>(frame.body.data());
   bz.avail_in = static_cast<unsigned int>(frame.body.size());
-  auto out = DecodeFrameBody(frame, Name(), [&](char* dst, size_t avail) -> Result<DecodeStep> {
+  const auto step = [&](char* dst, size_t avail) -> Result<DecodeStep> {
     bz.next_out = dst;
     bz.avail_out = static_cast<unsigned int>(avail);
     const int rc = BZ2_bzDecompress(&bz);
@@ -45,7 +43,8 @@ Result<std::string> Bzip2Compressor::Decompress(std::string_view input) const {
       return Status::Corruption("bzip2 decompress failed rc=" + std::to_string(rc));
     }
     return DecodeStep{avail - bz.avail_out, bz.avail_in, rc == BZ_STREAM_END};
-  });
+  };
+  auto out = DecodeFrameBody(frame, Name(), step, enough);
   BZ2_bzDecompressEnd(&bz);
   return out;
 }

@@ -4,15 +4,18 @@
 #ifndef MINICRYPT_SRC_COMPRESS_BZIP2_COMPRESSOR_H_
 #define MINICRYPT_SRC_COMPRESS_BZIP2_COMPRESSOR_H_
 
-#include "src/compress/compressor.h"
+#include "src/compress/frame.h"
 
 namespace minicrypt {
 
-class Bzip2Compressor : public Compressor {
+class Bzip2Compressor : public FramedCompressor {
  public:
   std::string_view Name() const override { return "bzip2"; }
   Result<std::string> Compress(std::string_view input) const override;
-  Result<std::string> Decompress(std::string_view input) const override;
+
+ protected:
+  Result<std::string> DecodeBody(const Frame& frame,
+                                 const PrefixPredicate& enough) const override;
 };
 
 }  // namespace minicrypt

@@ -13,6 +13,8 @@
 #ifndef MINICRYPT_SRC_COMPRESS_COMPRESSOR_H_
 #define MINICRYPT_SRC_COMPRESS_COMPRESSOR_H_
 
+#include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -21,6 +23,15 @@
 #include "src/common/status.h"
 
 namespace minicrypt {
+
+// Answers "does this decoded prefix already hold everything the caller
+// needs?" for a prefix decode. Called with ever longer prefixes of the output.
+using PrefixPredicate = std::function<bool(std::string_view decoded_prefix)>;
+
+struct DecodedPrefix {
+  std::string bytes;      // the whole output, or a prefix `enough` accepted
+  uint64_t raw_size = 0;  // output size the frame declares
+};
 
 class Compressor {
  public:
@@ -34,6 +45,18 @@ class Compressor {
 
   // Inverse of Compress. Returns Corruption on malformed input.
   virtual Result<std::string> Decompress(std::string_view input) const = 0;
+
+  // Decodes until `enough(prefix)` holds or the stream ends; an empty
+  // `enough` decodes everything, exactly as Decompress. Stopping early skips
+  // the checks only the rest of the stream can make (zlib's Adler-32 and
+  // length, for one), so use it only on authenticated input. Codecs without
+  // a streaming decoder decode everything.
+  virtual Result<DecodedPrefix> DecompressPrefix(std::string_view input,
+                                                 const PrefixPredicate& enough) const {
+    MC_ASSIGN_OR_RETURN(std::string out, Decompress(input));
+    const uint64_t raw_size = out.size();
+    return DecodedPrefix{std::move(out), raw_size};
+  }
 };
 
 // Returns the codec registered under `name`, or nullptr. The returned pointer

@@ -19,6 +19,12 @@ constexpr uint64_t kMaxFrameRawBytes = uint64_t{1} << 30;
 constexpr uint64_t kUpfrontRatio = 64;
 constexpr uint64_t kMinWindow = 1024;
 
+// Output offered per library call in a prefix decode. Smaller steps stop
+// closer to the bound but pay more per-call overhead; docs/PERF.md has the
+// microbench behind this choice. Full decodes stay in one call, because
+// zlib routes back-references across a call boundary through its window.
+constexpr size_t kPrefixStep = 16 * 1024;
+
 Status Corrupt(std::string_view codec, std::string_view what) {
   return Status::Corruption(std::string(codec) + ": " + std::string(what));
 }
@@ -48,7 +54,7 @@ Result<Frame> ParseFrame(std::string_view input, std::string_view codec) {
 }
 
 Result<std::string> DecodeFrameBody(const Frame& frame, std::string_view codec,
-                                    const DecodeFn& step) {
+                                    const DecodeFn& step, const PrefixPredicate& enough) {
   // One byte of room past raw_size, so a stream that decodes too long is
   // caught rather than cut off.
   const uint64_t limit = frame.raw_size + 1;
@@ -63,7 +69,11 @@ Result<std::string> DecodeFrameBody(const Frame& frame, std::string_view codec,
       }
       out.resize(std::min<uint64_t>(limit, uint64_t{out.size()} * 2));
     }
-    MC_ASSIGN_OR_RETURN(const DecodeStep s, step(out.data() + filled, out.size() - filled));
+    size_t avail = out.size() - filled;
+    if (enough) {
+      avail = std::min(avail, kPrefixStep);
+    }
+    MC_ASSIGN_OR_RETURN(const DecodeStep s, step(out.data() + filled, avail));
     if (!s.done && s.produced == 0 && s.input_left == input_left) {
       return Corrupt(codec, "truncated stream");
     }
@@ -71,6 +81,12 @@ Result<std::string> DecodeFrameBody(const Frame& frame, std::string_view codec,
     input_left = s.input_left;
     if (s.done) {
       break;
+    }
+    // A prefix past raw_size is left to the length checks above and below.
+    if (enough && s.produced > 0 && filled <= frame.raw_size &&
+        enough(std::string_view(out.data(), filled))) {
+      out.resize(filled);
+      return out;
     }
   }
   if (input_left != 0) {
@@ -81,6 +97,18 @@ Result<std::string> DecodeFrameBody(const Frame& frame, std::string_view codec,
   }
   out.resize(filled);
   return out;
+}
+
+Result<std::string> FramedCompressor::Decompress(std::string_view input) const {
+  MC_ASSIGN_OR_RETURN(const Frame frame, ParseFrame(input, Name()));
+  return DecodeBody(frame, nullptr);
+}
+
+Result<DecodedPrefix> FramedCompressor::DecompressPrefix(std::string_view input,
+                                                         const PrefixPredicate& enough) const {
+  MC_ASSIGN_OR_RETURN(const Frame frame, ParseFrame(input, Name()));
+  MC_ASSIGN_OR_RETURN(std::string out, DecodeBody(frame, enough));
+  return DecodedPrefix{std::move(out), frame.raw_size};
 }
 
 }  // namespace minicrypt

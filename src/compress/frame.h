@@ -6,7 +6,9 @@
 // word alone: the output starts at most 64 times the body (frame.cc) and then
 // grows only as the library produces bytes. A stream that decodes to any
 // length other than raw_size, stops early, or leaves trailing bytes is
-// Corruption.
+// Corruption. A prefix decode (DecodeFrameBody with `enough`) may stop before
+// the stream ends; it then returns at most raw_size bytes and skips the
+// checks that need the rest of the stream.
 
 #ifndef MINICRYPT_SRC_COMPRESS_FRAME_H_
 #define MINICRYPT_SRC_COMPRESS_FRAME_H_
@@ -18,6 +20,7 @@
 #include <string_view>
 
 #include "src/common/status.h"
+#include "src/compress/compressor.h"
 
 namespace minicrypt {
 
@@ -46,8 +49,26 @@ struct DecodeStep {
 using DecodeFn = std::function<Result<DecodeStep>(char* out, size_t avail)>;
 
 // Calls `step` until the stream ends and checks the result against the frame.
+// Without `enough`, each call offers the library the whole output window. With
+// it, calls offer a fixed step (frame.cc) and the decode returns the prefix as
+// soon as `enough` accepts it.
 Result<std::string> DecodeFrameBody(const Frame& frame, std::string_view codec,
-                                    const DecodeFn& step);
+                                    const DecodeFn& step,
+                                    const PrefixPredicate& enough = nullptr);
+
+// Base of the library codecs: Decompress and DecompressPrefix parse the frame
+// and hand it to DecodeBody, so the two share one decoder per codec.
+class FramedCompressor : public Compressor {
+ public:
+  Result<std::string> Decompress(std::string_view input) const final;
+  Result<DecodedPrefix> DecompressPrefix(std::string_view input,
+                                         const PrefixPredicate& enough) const final;
+
+ protected:
+  // Decodes frame.body through DecodeFrameBody, passing `enough` on.
+  virtual Result<std::string> DecodeBody(const Frame& frame,
+                                         const PrefixPredicate& enough) const = 0;
+};
 
 }  // namespace minicrypt
 

@@ -2,8 +2,6 @@
 
 #include <lzma.h>
 
-#include "src/compress/frame.h"
-
 namespace minicrypt {
 
 namespace {
@@ -27,8 +25,8 @@ Result<std::string> LzmaCompressor::Compress(std::string_view input) const {
   return out;
 }
 
-Result<std::string> LzmaCompressor::Decompress(std::string_view input) const {
-  MC_ASSIGN_OR_RETURN(const Frame frame, ParseFrame(input, Name()));
+Result<std::string> LzmaCompressor::DecodeBody(const Frame& frame,
+                                               const PrefixPredicate& enough) const {
   lzma_stream strm = LZMA_STREAM_INIT;
   // Frames written by Compress never need more decoder memory than the
   // preset, so a header asking for more is rejected before any allocation.
@@ -37,7 +35,7 @@ Result<std::string> LzmaCompressor::Decompress(std::string_view input) const {
   }
   strm.next_in = reinterpret_cast<const uint8_t*>(frame.body.data());
   strm.avail_in = frame.body.size();
-  auto out = DecodeFrameBody(frame, Name(), [&](char* dst, size_t avail) -> Result<DecodeStep> {
+  const auto step = [&](char* dst, size_t avail) -> Result<DecodeStep> {
     strm.next_out = reinterpret_cast<uint8_t*>(dst);
     strm.avail_out = avail;
     // LZMA_BUF_ERROR only means no progress was possible; DecodeFrameBody
@@ -47,7 +45,8 @@ Result<std::string> LzmaCompressor::Decompress(std::string_view input) const {
       return Status::Corruption("lzma decode failed rc=" + std::to_string(rc));
     }
     return DecodeStep{avail - strm.avail_out, strm.avail_in, rc == LZMA_STREAM_END};
-  });
+  };
+  auto out = DecodeFrameBody(frame, Name(), step, enough);
   lzma_end(&strm);
   return out;
 }

@@ -2,8 +2,6 @@
 
 #include <zlib.h>
 
-#include "src/compress/frame.h"
-
 namespace minicrypt {
 
 ZlibCompressor::ZlibCompressor(int level, std::string_view name) : level_(level), name_(name) {}
@@ -23,15 +21,15 @@ Result<std::string> ZlibCompressor::Compress(std::string_view input) const {
   return out;
 }
 
-Result<std::string> ZlibCompressor::Decompress(std::string_view input) const {
-  MC_ASSIGN_OR_RETURN(const Frame frame, ParseFrame(input, name_));
+Result<std::string> ZlibCompressor::DecodeBody(const Frame& frame,
+                                               const PrefixPredicate& enough) const {
   z_stream zs{};
   if (inflateInit(&zs) != Z_OK) {
     return Status::Internal("zlib inflateInit failed");
   }
   zs.next_in = reinterpret_cast<Bytef*>(const_cast<char*>(frame.body.data()));
   zs.avail_in = static_cast<uInt>(frame.body.size());
-  auto out = DecodeFrameBody(frame, name_, [&](char* dst, size_t avail) -> Result<DecodeStep> {
+  const auto step = [&](char* dst, size_t avail) -> Result<DecodeStep> {
     zs.next_out = reinterpret_cast<Bytef*>(dst);
     zs.avail_out = static_cast<uInt>(avail);
     // Z_BUF_ERROR only means no progress was possible; DecodeFrameBody
@@ -41,7 +39,8 @@ Result<std::string> ZlibCompressor::Decompress(std::string_view input) const {
       return Status::Corruption("zlib inflate failed rc=" + std::to_string(rc));
     }
     return DecodeStep{avail - zs.avail_out, zs.avail_in, rc == Z_STREAM_END};
-  });
+  };
+  auto out = DecodeFrameBody(frame, name_, step, enough);
   inflateEnd(&zs);
   return out;
 }

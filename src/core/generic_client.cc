@@ -186,8 +186,9 @@ std::string GenericClient::StoredPackId(std::string_view partition, const Pack& 
   return StoredKeyFor(min_key.has_value() ? *min_key : fallback_id);
 }
 
-Result<GenericClient::FetchedPack> GenericClient::FetchPackFor(std::string_view partition,
-                                                               std::string_view encoded_key) {
+Result<GenericClient::FetchedPack> GenericClient::FetchPackFor(
+    std::string_view partition, std::string_view encoded_key,
+    std::optional<std::string_view> through) {
   // Covers the server round trip (floor query or direct read) plus
   // Open (pack.decrypt + pack.decompress, timed separately).
   OBS_SPAN("pack.fetch");
@@ -211,7 +212,7 @@ Result<GenericClient::FetchedPack> GenericClient::FetchPackFor(std::string_view 
     row = std::move(found.second);
   }
   MC_ASSIGN_OR_RETURN(auto cells, ExtractPackCells(row));
-  MC_ASSIGN_OR_RETURN(Pack pack, crypter_.Open(cells.first, stored_id));
+  MC_ASSIGN_OR_RETURN(Pack pack, crypter_.Open(cells.first, stored_id, through));
   FetchedPack out;
   out.pack_id = std::move(stored_id);
   out.pack = std::make_shared<const Pack>(std::move(pack));
@@ -219,13 +220,13 @@ Result<GenericClient::FetchedPack> GenericClient::FetchPackFor(std::string_view 
   return out;
 }
 
-Result<GenericClient::FetchedPack> GenericClient::FetchPackCached(std::string_view partition,
-                                                                  std::string_view encoded_key,
-                                                                  bool allow_ttl) {
+Result<GenericClient::FetchedPack> GenericClient::FetchPackCached(
+    std::string_view partition, std::string_view encoded_key, bool allow_ttl,
+    std::optional<std::string_view> through) {
   // PRF-bucket mode has no floor order for the probe to route on; the cache
   // only serves the floor-addressed modes.
   if (cache_ == nullptr || packid_cipher_.has_value()) {
-    return FetchPackFor(partition, encoded_key);
+    return FetchPackFor(partition, encoded_key, ReadBound(through));
   }
   const std::string stored = StoredKeyFor(encoded_key);
   if (allow_ttl) {
@@ -244,7 +245,7 @@ Result<GenericClient::FetchedPack> GenericClient::FetchPackCached(std::string_vi
   if (!candidate.has_value()) {
     // Nothing cached near this key: a full floor fetch both answers the read
     // and seeds the cache (no probe round trip wasted on a sure miss).
-    MC_ASSIGN_OR_RETURN(FetchedPack fetched, FetchPackFor(partition, encoded_key));
+    MC_ASSIGN_OR_RETURN(FetchedPack fetched, FetchPackFor(partition, encoded_key, std::nullopt));
     cache_->Put(options_.table, partition, fetched.pack_id, fetched.pack, fetched.hash);
     return fetched;
   }
@@ -276,7 +277,7 @@ Result<GenericClient::FetchedPack> GenericClient::FetchPackCached(std::string_vi
     }
     // A CL=ONE replica that missed the newest insert can advertise a floor it
     // cannot serve; fall back to the full floor path.
-    MC_ASSIGN_OR_RETURN(FetchedPack fetched, FetchPackFor(partition, encoded_key));
+    MC_ASSIGN_OR_RETURN(FetchedPack fetched, FetchPackFor(partition, encoded_key, std::nullopt));
     cache_->Put(options_.table, partition, fetched.pack_id, fetched.pack, fetched.hash);
     return fetched;
   }
@@ -290,16 +291,16 @@ Result<GenericClient::FetchedPack> GenericClient::FetchPackCached(std::string_vi
   return out;
 }
 
-Result<GenericClient::FetchedPack> GenericClient::FetchWithRetries(std::string_view partition,
-                                                                   std::string_view encoded_key,
-                                                                   bool allow_ttl) {
+Result<GenericClient::FetchedPack> GenericClient::FetchWithRetries(
+    std::string_view partition, std::string_view encoded_key, bool allow_ttl,
+    std::optional<std::string_view> through) {
   Result<FetchedPack> fetched = Status::Unavailable("fetch never attempted");
   for (int attempt = 0; attempt < options_.max_put_retries; ++attempt) {
     if (attempt > 0) {
       OBS_COUNTER_INC("client.get.unavailable_retries");
       BackoffBeforeRetry(attempt - 1);
     }
-    fetched = FetchPackCached(partition, encoded_key, allow_ttl);
+    fetched = FetchPackCached(partition, encoded_key, allow_ttl, through);
     if (fetched.ok() || !fetched.status().IsUnavailable()) {
       break;  // only transient unavailability is worth retrying
     }
@@ -307,22 +308,31 @@ Result<GenericClient::FetchedPack> GenericClient::FetchWithRetries(std::string_v
   return fetched;
 }
 
-Result<std::shared_ptr<const Pack>> GenericClient::OpenPackCached(std::string_view partition,
-                                                                  std::string_view pack_id,
-                                                                  std::string_view envelope,
-                                                                  std::string_view hash) {
+Result<std::shared_ptr<const Pack>> GenericClient::OpenPackCached(
+    std::string_view partition, std::string_view pack_id, std::string_view envelope,
+    std::string_view hash, std::optional<std::string_view> through) {
   const bool use_cache = cache_ != nullptr && !packid_cipher_.has_value();
   if (use_cache) {
     if (auto pack = cache_->ValidateAndGet(options_.table, partition, pack_id, hash)) {
       return pack;  // identical bytes by hash: skip the decrypt + decompress
     }
   }
-  MC_ASSIGN_OR_RETURN(Pack pack, crypter_.Open(envelope, pack_id));
+  MC_ASSIGN_OR_RETURN(Pack pack, crypter_.Open(envelope, pack_id, ReadBound(through)));
   auto shared = std::make_shared<const Pack>(std::move(pack));
   if (use_cache) {
     cache_->Put(options_.table, partition, pack_id, shared, std::string(hash));
   }
   return shared;
+}
+
+std::optional<std::string_view> GenericClient::ReadBound(
+    std::optional<std::string_view> through) const {
+  // With the cache on, every open may fill it, so opens stay whole. In
+  // PRF-bucket mode point reads keep the whole-pack path as well.
+  if (cache_ != nullptr || packid_cipher_.has_value()) {
+    return std::nullopt;
+  }
+  return through;
 }
 
 void GenericClient::CacheAfterWrite(std::string_view partition, std::string_view pack_id,
@@ -345,11 +355,11 @@ Result<std::string> GenericClient::Get(uint64_t key) {
   stats_.gets.fetch_add(1, std::memory_order_relaxed);
   const std::string encoded = EncodeKey64(key);
   const std::string partition = PartitionForKey(encoded, options_.hash_partitions);
-  auto fetched = FetchWithRetries(partition, encoded, /*allow_ttl=*/true);
+  auto fetched = FetchWithRetries(partition, encoded, /*allow_ttl=*/true, encoded);
   if (fetched.ok() && fetched->ttl_fresh && !fetched->pack->Find(encoded).has_value()) {
     // A TTL-fresh pack may predate a split that moved this key to a newer
     // pack: confirm the miss against the server before reporting NotFound.
-    fetched = FetchWithRetries(partition, encoded, /*allow_ttl=*/false);
+    fetched = FetchWithRetries(partition, encoded, /*allow_ttl=*/false, encoded);
   }
   if (!fetched.ok()) {
     if (fetched.status().IsUnavailable()) {
@@ -397,7 +407,8 @@ std::vector<Result<std::string>> GenericClient::MultiGet(const std::vector<uint6
     }
     for (const auto& [group, gkeys] : groups) {
       OBS_COUNTER_INC("client.multiget.packs_fetched");
-      auto fetched = FetchWithRetries(group.first, EncodeKey64(gkeys.front()), /*allow_ttl=*/false);
+      auto fetched = FetchWithRetries(group.first, EncodeKey64(gkeys.front()),
+                                      /*allow_ttl=*/false, std::nullopt);
       for (const uint64_t k : gkeys) {
         if (!fetched.ok()) {
           resolve(k, fetched.status());
@@ -425,9 +436,10 @@ std::vector<Result<std::string>> GenericClient::MultiGet(const std::vector<uint6
     while (remaining > 0) {
       const uint64_t top = pkeys[remaining - 1];
       const std::string encoded_top = EncodeKey64(top);
-      auto fetched = FetchWithRetries(partition, encoded_top, /*allow_ttl=*/true);
+      // The pack serves keys from `top` down, so it need decode no further.
+      auto fetched = FetchWithRetries(partition, encoded_top, /*allow_ttl=*/true, encoded_top);
       if (fetched.ok() && fetched->ttl_fresh && !fetched->pack->Find(encoded_top).has_value()) {
-        fetched = FetchWithRetries(partition, encoded_top, /*allow_ttl=*/false);
+        fetched = FetchWithRetries(partition, encoded_top, /*allow_ttl=*/false, encoded_top);
       }
       if (!fetched.ok()) {
         if (fetched.status().IsNotFound()) {
@@ -455,7 +467,7 @@ std::vector<Result<std::string>> GenericClient::MultiGet(const std::vector<uint6
         if (!v.has_value() && fetched->ttl_fresh) {
           // Same guard as Get: confirm a TTL-fresh miss for this key against
           // the server (the key may have moved to a newer pack).
-          auto confirm = FetchWithRetries(partition, encoded, /*allow_ttl=*/false);
+          auto confirm = FetchWithRetries(partition, encoded, /*allow_ttl=*/false, encoded);
           if (confirm.ok()) {
             auto cv = confirm->pack->Find(encoded);
             resolve(k, cv.has_value() ? Result<std::string>(std::string(*cv))
@@ -526,11 +538,12 @@ Result<std::vector<std::pair<uint64_t, std::string>>> GenericClient::GetRange(ui
       if (!cells.ok()) {
         return cells.status();
       }
-      MC_ASSIGN_OR_RETURN(auto pack, OpenPackCached(partition, id, cells->first, cells->second));
+      MC_ASSIGN_OR_RETURN(auto pack,
+                          OpenPackCached(partition, id, cells->first, cells->second, khi));
       packs.emplace_back(id, std::move(pack));
     }
     if (need_floor) {
-      auto fetched = FetchPackCached(partition, klo, /*allow_ttl=*/false);
+      auto fetched = FetchPackCached(partition, klo, /*allow_ttl=*/false, khi);
       if (fetched.ok()) {
         // Skip if it duplicates a pack already in the result set.
         const bool duplicate =
@@ -702,7 +715,7 @@ Status GenericClient::TryMutate(uint64_t key, const std::function<void(Pack*)>& 
   const std::string encoded = EncodeKey64(key);
   const std::string partition = PartitionForKey(encoded, options_.hash_partitions);
 
-  auto fetched = FetchPackCached(partition, encoded, /*allow_ttl=*/false);
+  auto fetched = FetchPackCached(partition, encoded, /*allow_ttl=*/false, std::nullopt);
   if (!fetched.ok()) {
     if (!fetched.status().IsNotFound()) {
       return fetched.status();
@@ -785,7 +798,7 @@ Status GenericClient::TryMutate(uint64_t key, const std::function<void(Pack*)>& 
     // server holds.
     OBS_COUNTER_INC("client.lwt.ambiguous");
     CacheInvalidate(partition, fetched->pack_id);
-    auto reread = FetchPackCached(partition, encoded, /*allow_ttl=*/false);
+    auto reread = FetchPackCached(partition, encoded, /*allow_ttl=*/false, std::nullopt);
     if (reread.ok()) {
       if (applied(*reread->pack)) {
         OBS_COUNTER_INC("client.lwt.ambiguous_applied");

@@ -205,27 +205,39 @@ class GenericClient {
   };
 
   // Fetches the pack that should contain `encoded_key` within `partition`.
-  // NotFound when the partition holds no pack at or below the key.
-  Result<FetchedPack> FetchPackFor(std::string_view partition, std::string_view encoded_key);
+  // NotFound when the partition holds no pack at or below the key. With
+  // `through`, the pack is opened partial: only the entries up to that
+  // encoded key are decoded (PackCrypter::Open).
+  Result<FetchedPack> FetchPackFor(std::string_view partition, std::string_view encoded_key,
+                                   std::optional<std::string_view> through);
 
   // Cache-aware variant: serves from the pack cache after a version-only
   // floor probe (or, with `allow_ttl`, straight from a TTL-fresh entry), and
   // falls back to FetchPackFor + cache fill. Identical semantics to
   // FetchPackFor when caching is off or packIDs are PRF-encrypted.
+  // `through` is the largest key the caller reads from the pack; it bounds
+  // the open only when the cache is off and packIDs are not PRF-encrypted
+  // (ReadBound), so cache fills and writers always see whole packs.
   Result<FetchedPack> FetchPackCached(std::string_view partition, std::string_view encoded_key,
-                                      bool allow_ttl);
+                                      bool allow_ttl, std::optional<std::string_view> through);
 
   // FetchPackCached wrapped in the bounded Unavailable-retry loop shared by
   // the read paths.
   Result<FetchedPack> FetchWithRetries(std::string_view partition, std::string_view encoded_key,
-                                       bool allow_ttl);
+                                       bool allow_ttl, std::optional<std::string_view> through);
 
   // Opens an envelope already in hand (range reads), reusing a cached pack
-  // when its hash matches and filling the cache otherwise.
+  // when its hash matches and filling the cache otherwise; `through` as in
+  // FetchPackCached.
   Result<std::shared_ptr<const Pack>> OpenPackCached(std::string_view partition,
                                                      std::string_view pack_id,
                                                      std::string_view envelope,
-                                                     std::string_view hash);
+                                                     std::string_view hash,
+                                                     std::optional<std::string_view> through);
+
+  // The bound a read may open packs with: `through` when the cache is off
+  // and packIDs are not PRF-encrypted, else none (whole packs).
+  std::optional<std::string_view> ReadBound(std::optional<std::string_view> through) const;
 
   // One write attempt; sets *retry when the caller should loop. `applied`
   // answers "does this pack already reflect my mutation?" — consulted after

@@ -55,7 +55,7 @@ size_t PayloadBytes(const EntryRange& entries) {
 
 }  // namespace
 
-Pack::Pack(const Pack& other) {
+Pack::Pack(const Pack& other) : complete_(other.complete_) {
   arena_.Reserve(PayloadBytes(other.entries_));
   entries_.reserve(other.entries_.size());
   for (const EntryView& e : other.entries_) {
@@ -98,53 +98,79 @@ std::string Pack::Serialize() const {
 
 namespace {
 
+struct ParsedEntries {
+  std::vector<Pack::EntryView> entries;
+  bool passed = false;  // stopped at a key past the bound
+};
+
 // Shared decode: slices `bytes` into (key, value) views. The caller decides
 // whether those views point at an adopted buffer (zero-copy) or get copied
-// into the arena.
-Result<std::vector<Pack::EntryView>> ParseEntries(std::string_view bytes) {
+// into the arena. With `through`, stops at the first key past it, without
+// keeping that entry or reading anything after its key. `collect` = false
+// only runs the checks.
+Result<ParsedEntries> ParseEntries(std::string_view bytes,
+                                   std::optional<std::string_view> through, bool collect) {
   std::string_view in = bytes;
   MC_ASSIGN_OR_RETURN(uint64_t n, GetVarint64(&in));
   if (n > (1u << 24)) {
     return Status::Corruption("pack declares absurd entry count");
   }
-  std::vector<Pack::EntryView> entries;
-  entries.reserve(n);
+  ParsedEntries out;
+  if (collect) {
+    out.entries.reserve(n);
+  }
   std::string_view prev;
   for (uint64_t i = 0; i < n; ++i) {
     MC_ASSIGN_OR_RETURN(std::string_view key, GetLengthPrefixed(&in));
-    MC_ASSIGN_OR_RETURN(std::string_view value, GetLengthPrefixed(&in));
     if (i > 0 && prev >= key) {
       return Status::Corruption("pack entries out of order");
     }
+    if (through.has_value() && key > *through) {
+      out.passed = true;
+      return out;
+    }
+    MC_ASSIGN_OR_RETURN(std::string_view value, GetLengthPrefixed(&in));
     prev = key;
-    entries.push_back(Pack::EntryView{key, value});
+    if (collect) {
+      out.entries.push_back(Pack::EntryView{key, value});
+    }
   }
   if (!in.empty()) {
     return Status::Corruption("trailing bytes after pack entries");
   }
-  return entries;
+  return out;
 }
 
 }  // namespace
 
 Result<Pack> Pack::Deserialize(std::string_view bytes) {
-  MC_ASSIGN_OR_RETURN(std::vector<EntryView> parsed, ParseEntries(bytes));
+  MC_ASSIGN_OR_RETURN(ParsedEntries parsed, ParseEntries(bytes, std::nullopt, /*collect=*/true));
   Pack p;
-  p.arena_.Reserve(PayloadBytes(parsed));
-  p.entries_.reserve(parsed.size());
-  for (const EntryView& e : parsed) {
+  p.arena_.Reserve(PayloadBytes(parsed.entries));
+  p.entries_.reserve(parsed.entries.size());
+  for (const EntryView& e : parsed.entries) {
     p.entries_.push_back(EntryView{p.arena_.Copy(e.key), p.arena_.Copy(e.value)});
   }
   return p;
 }
 
-Result<Pack> Pack::FromSerialized(std::string&& bytes) {
+Result<Pack> Pack::FromSerialized(std::string&& bytes, std::optional<std::string_view> through) {
   Pack p;
   const std::string_view stable = p.arena_.Adopt(std::move(bytes));
   // Parse after adoption: the views below point into the arena-owned buffer,
   // never into a caller temporary.
-  MC_ASSIGN_OR_RETURN(p.entries_, ParseEntries(stable));
+  MC_ASSIGN_OR_RETURN(ParsedEntries parsed, ParseEntries(stable, through, /*collect=*/true));
+  p.entries_ = std::move(parsed.entries);
+  p.complete_ = !through.has_value();
   return p;
+}
+
+bool Pack::PassesBound(std::string_view prefix, std::string_view through) {
+  // A parse error here is usually just the prefix ending mid-entry. Real
+  // corruption keeps the decode going to the end, where FromSerialized
+  // reports it.
+  auto parsed = ParseEntries(prefix, through, /*collect=*/false);
+  return parsed.ok() && parsed->passed;
 }
 
 size_t Pack::LowerBound(std::string_view key) const {
@@ -192,6 +218,9 @@ bool Pack::Erase(std::string_view key) {
 Result<std::pair<Pack, Pack>> Pack::SplitDeterministic() const {
   if (entries_.size() < 2) {
     return Status::InvalidArgument("cannot split a pack with fewer than 2 keys");
+  }
+  if (!complete_) {
+    return Status::InvalidArgument("cannot split a partial pack");
   }
   const size_t left_count = (entries_.size() + 1) / 2;  // ceil(n/2)
   Pack left;

@@ -8,6 +8,12 @@
 // views straight into it — opening a pack allocates the entry index and
 // nothing else. Arena blocks have stable addresses, so views never dangle
 // across mutations; copying a Pack deep-copies into a fresh arena.
+//
+// Partial packs: a point or range read that needs only the keys up to some
+// bound opens the pack with that bound (PackCrypter::Open). The result holds
+// the entries up to the bound and reports complete() == false; it answers
+// reads, but sealing or caching it is refused, so it can never replace the
+// full pack and drop rows.
 
 #ifndef MINICRYPT_SRC_CORE_PACK_H_
 #define MINICRYPT_SRC_CORE_PACK_H_
@@ -60,7 +66,17 @@ class Pack {
 
   // Zero-copy decode: adopts the buffer (the decompressor's output moves in
   // here) and slices entries out of it without copying a byte.
-  static Result<Pack> FromSerialized(std::string&& bytes);
+  //
+  // With `through`, keeps only the entries with key <= *through and returns
+  // a partial pack. `bytes` may then be a decoded prefix that PassesBound
+  // accepted; a prefix that ends before reaching a key past the bound is
+  // Corruption, never a short pack.
+  static Result<Pack> FromSerialized(std::string&& bytes,
+                                     std::optional<std::string_view> through = std::nullopt);
+
+  // True once `prefix`, a prefix of a serialized pack, holds a whole key past
+  // `through`: decoding more cannot change FromSerialized(prefix, through).
+  static bool PassesBound(std::string_view prefix, std::string_view through);
 
   // --- Queries ----------------------------------------------------------------
 
@@ -69,6 +85,9 @@ class Pack {
 
   // Smallest key (the packID, paper §2.5). Empty pack -> nullopt.
   std::optional<std::string_view> MinKey() const;
+
+  // False for a pack opened with a bound: it lacks the entries past it.
+  bool complete() const { return complete_; }
 
   size_t size() const { return entries_.size(); }
   bool empty() const { return entries_.empty(); }
@@ -91,7 +110,7 @@ class Pack {
   // Splits deterministically: the first ceil(n/2) keys stay in the returned
   // left pack, the rest form the right pack (paper §5.2 requires that every
   // client splitting the same pack produces identical halves). This pack is
-  // left unchanged. n must be >= 2.
+  // left unchanged. n must be >= 2 and the pack complete.
   Result<std::pair<Pack, Pack>> SplitDeterministic() const;
 
  private:
@@ -127,6 +146,7 @@ class Pack {
 
   Arena arena_;
   std::vector<EntryView> entries_;  // sorted by key, unique
+  bool complete_ = true;
 };
 
 }  // namespace minicrypt

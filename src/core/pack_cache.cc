@@ -163,7 +163,8 @@ void PackCache::RecordTtlServe() {
 
 void PackCache::Put(std::string_view table, std::string_view partition, std::string_view pack_id,
                     std::shared_ptr<const Pack> pack, std::string hash) {
-  if (!enabled() || pack == nullptr) {
+  // A partial pack (opened with a bound) must never answer for the whole.
+  if (!enabled() || pack == nullptr || !pack->complete()) {
     return;
   }
   const std::string scope = ScopePrefix(table, partition);

@@ -94,7 +94,8 @@ class PackCache {
   // Caller served a TTL-fresh entry without probing; account it as a hit.
   void RecordTtlServe();
 
-  // Insert or replace. The entry is stamped validated-now.
+  // Insert or replace. The entry is stamped validated-now. A partial pack
+  // (!complete()) is refused: the cache only holds whole packs.
   void Put(std::string_view table, std::string_view partition, std::string_view pack_id,
            std::shared_ptr<const Pack> pack, std::string hash);
 

@@ -108,6 +108,9 @@ std::string PackCrypter::AadFor(uint64_t epoch, std::string_view context) const 
 
 Result<SealedPack> PackCrypter::Seal(const Pack& pack, std::string_view context) const {
   OBS_SPAN("pack.seal");
+  if (!pack.complete()) {
+    return Status::InvalidArgument("cannot seal a partial pack");
+  }
   // The pin is taken before reading the epoch so retirement can never win a
   // race against this seal: the drain barrier sees the pin first.
   Keyring::Pin pin = keyring_->PinCurrent();
@@ -138,7 +141,8 @@ Result<SealedPack> PackCrypter::Seal(const Pack& pack, std::string_view context)
   return out;
 }
 
-Result<Pack> PackCrypter::Open(std::string_view envelope, std::string_view context) const {
+Result<Pack> PackCrypter::Open(std::string_view envelope, std::string_view context,
+                               std::optional<std::string_view> through) const {
   OBS_SPAN("pack.open");
   std::string padded;
   {
@@ -155,18 +159,24 @@ Result<Pack> PackCrypter::Open(std::string_view envelope, std::string_view conte
       MC_ASSIGN_OR_RETURN(padded, AesGcmDecrypt(pack_key, envelope));
     }
   }
-  MC_ASSIGN_OR_RETURN(std::string compressed, PaddingTiers::Unpad(padded));
-  std::string raw;
+  MC_ASSIGN_OR_RETURN(const std::string_view compressed, PaddingTiers::Unpad(padded));
+  PrefixPredicate enough;
+  if (through.has_value()) {
+    enough = [&](std::string_view prefix) { return Pack::PassesBound(prefix, *through); };
+  }
+  DecodedPrefix raw;
   {
     OBS_SPAN("pack.decompress");
-    MC_ASSIGN_OR_RETURN(raw, codec_->Decompress(compressed));
+    MC_ASSIGN_OR_RETURN(raw, codec_->DecompressPrefix(compressed, enough));
   }
   static const RatioMetrics open_ratio =
       RatioMetrics::Intern("pack.open.bytes_raw", "pack.open.bytes_wire", "pack.open.ratio");
-  open_ratio.Update(raw.size(), envelope.size());
+  // The declared size, not the decoded length: a bounded open decodes only
+  // a prefix, and the gauge describes the pack.
+  open_ratio.Update(raw.raw_size, envelope.size());
   // Zero-copy: the decompressed buffer moves into the pack's arena and the
   // entries slice straight into it.
-  return Pack::FromSerialized(std::move(raw));
+  return Pack::FromSerialized(std::move(raw.bytes), through);
 }
 
 Result<std::string> PackCrypter::SealValue(std::string_view value) const {

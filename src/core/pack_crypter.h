@@ -23,6 +23,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -59,8 +60,16 @@ class PackCrypter {
   // `context` is bound into the AAD (pass the stored packID). Callers that
   // seal outside any row context (benches, index packs with their own
   // framing) may leave it empty — the table and epoch are always bound.
+  // Seal refuses a partial pack (InvalidArgument): writing one back would
+  // drop the rows past its bound.
   Result<SealedPack> Seal(const Pack& pack, std::string_view context = {}) const;
-  Result<Pack> Open(std::string_view envelope, std::string_view context = {}) const;
+
+  // With `through`, returns the partial pack of entries with key <= *through
+  // (Pack::complete() == false), and the codec stops decompressing once the
+  // decoded prefix has passed it. GCM verifies the whole envelope before any
+  // byte is decompressed, bounded or not.
+  Result<Pack> Open(std::string_view envelope, std::string_view context = {},
+                    std::optional<std::string_view> through = std::nullopt) const;
 
   // Seals a single row value (APPEND-mode puts and the encrypted baseline
   // client compress+encrypt one row at a time). Same envelope versioning,

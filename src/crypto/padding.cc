@@ -50,13 +50,13 @@ std::string PaddingTiers::Pad(std::string_view payload) const {
   return framed;
 }
 
-Result<std::string> PaddingTiers::Unpad(std::string_view padded) {
+Result<std::string_view> PaddingTiers::Unpad(std::string_view padded) {
   std::string_view in = padded;
   MC_ASSIGN_OR_RETURN(uint64_t len, GetVarint64(&in));
   if (in.size() < len) {
     return Status::Corruption("padding frame shorter than declared payload");
   }
-  return std::string(in.substr(0, len));
+  return in.substr(0, len);
 }
 
 }  // namespace minicrypt

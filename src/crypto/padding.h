@@ -40,8 +40,8 @@ class PaddingTiers {
   std::string Pad(std::string_view payload) const;
 
   // Inverse of Pad. Works whether or not padding was applied (the frame is
-  // always present).
-  static Result<std::string> Unpad(std::string_view padded);
+  // always present). The result is a view into `padded`.
+  static Result<std::string_view> Unpad(std::string_view padded);
 
   const std::vector<size_t>& tiers() const { return tiers_; }
 

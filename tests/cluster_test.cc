@@ -24,6 +24,12 @@ class ClusterTest : public ::testing::Test {
     ClusterOptions o = ClusterOptions::ForTest();
     o.node_count = 3;
     o.replication_factor = 3;
+    // These tests read their own CL=ONE writes back. With the concurrent
+    // fan-out a write acks on its first replica and a read may reach one
+    // whose leg has not run yet; inline legs (docs/CONCURRENCY.md) apply
+    // every replica before the write returns. Concurrent fan-out has its
+    // own suites (async_cluster_test, replication_test).
+    o.replica_fanout_threads = 0;
     return o;
   }
 
@@ -172,6 +178,8 @@ TEST_F(ClusterTest, DeletePartitionDropsEverything) {
 TEST_F(ClusterTest, QuorumReadSeesNewestReplicaState) {
   ClusterOptions o = MakeOptions();
   o.consistency = Consistency::kQuorum;
+  // Quorum writes and reads intersect, so this holds with concurrent legs.
+  o.replica_fanout_threads = ClusterOptions().replica_fanout_threads;
   Cluster quorum(o);
   ASSERT_TRUE(quorum.CreateTable("t").ok());
   ASSERT_TRUE(quorum.Write("t", "p", EncodeKey64(1), ValueRow("q")).ok());

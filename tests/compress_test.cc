@@ -111,6 +111,40 @@ TEST_P(CodecRoundTrip, TruncatedInputNeverYieldsWrongData) {
   }
 }
 
+// A prefix decode returns the first bytes of the output: all of them, or a
+// prefix the predicate accepted. The library codecs stop early; the others
+// decode everything.
+TEST_P(CodecRoundTrip, PrefixDecodeStopsOnceEnough) {
+  auto dataset = MakeDataset("conviva", 3);
+  std::string input;
+  for (int i = 0; i < 50; ++i) {
+    input += dataset->Row(static_cast<uint64_t>(i));
+  }
+  auto compressed = codec()->Compress(input);
+  ASSERT_TRUE(compressed.ok());
+  const bool streams = GetParam() == "zlib" || GetParam() == "zlib9" || GetParam() == "bzip2" ||
+                       GetParam() == "lzma";
+  for (size_t want : {size_t{1}, input.size() / 4, input.size() / 2, input.size()}) {
+    auto out = codec()->DecompressPrefix(*compressed, [&](std::string_view prefix) {
+      EXPECT_EQ(prefix, std::string_view(input).substr(0, prefix.size()));
+      return prefix.size() >= want;
+    });
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    EXPECT_EQ(out->raw_size, input.size());
+    EXPECT_GE(out->bytes.size(), want);
+    EXPECT_EQ(out->bytes, input.substr(0, out->bytes.size()));
+    if (streams && want <= input.size() / 2) {
+      EXPECT_LT(out->bytes.size(), input.size()) << "no early stop at " << want;
+    }
+  }
+  // A predicate that never holds decodes everything, with every check.
+  auto all = codec()->DecompressPrefix(*compressed, [](std::string_view) { return false; });
+  ASSERT_TRUE(all.ok());
+  EXPECT_EQ(all->bytes, input);
+  const std::string_view cut(compressed->data(), compressed->size() - 1);
+  EXPECT_FALSE(codec()->DecompressPrefix(cut, [](std::string_view) { return false; }).ok());
+}
+
 long PeakRssKb() {
   rusage usage{};
   getrusage(RUSAGE_SELF, &usage);

@@ -258,6 +258,8 @@ TEST(Padding, PadUnpadRoundTrip) {
     auto back = PaddingTiers::Unpad(padded);
     ASSERT_TRUE(back.ok());
     EXPECT_EQ(*back, payload);
+    // A view into the padded buffer, not a copy.
+    EXPECT_EQ(back->data(), padded.data() + VarintLength(payload.size()));
   }
 }
 

@@ -48,6 +48,69 @@ TEST(FuzzSmoke, CodecDecompressSurvivesGarbage) {
   }
 }
 
+// Prefix decodes (what bounded pack opens run) over garbage, cut frames and
+// flipped bytes: they fail closed or return at most the declared raw_size.
+TEST(FuzzSmoke, CodecPrefixDecodeSurvivesGarbage) {
+  Rng rng(43);
+  std::string payload;
+  while (payload.size() < 40000) {
+    payload += "row " + std::to_string(payload.size()) + " some ordinary payload ";
+    payload += rng.Bytes(rng.Uniform(12));
+  }
+  for (std::string_view name : {"snappylike", "lz4like", "zlib", "zlib9", "bzip2", "lzma", "rle"}) {
+    const Compressor* codec = FindCompressor(name);
+    ASSERT_NE(codec, nullptr) << name;
+    const std::string valid = *codec->Compress(payload);
+    for (int i = 0; i < 300; ++i) {
+      std::string input;
+      switch (i % 4) {
+        case 0:
+          input = RandomGarbage(&rng, 300);
+          break;
+        case 1:
+          input = SeededGarbage(&rng, valid, 300);
+          break;
+        case 2:
+          input = valid.substr(0, rng.Uniform(valid.size()));
+          break;
+        default:
+          input = valid;
+          input[rng.Uniform(input.size())] ^= static_cast<char>(1 + rng.Uniform(255));
+          break;
+      }
+      const size_t want = rng.Uniform(payload.size() + 1);
+      auto out = codec->DecompressPrefix(
+          input, [&](std::string_view prefix) { return prefix.size() >= want; });
+      if (out.ok()) {
+        EXPECT_LE(out->bytes.size(), out->raw_size) << name;
+        EXPECT_LE(out->raw_size, uint64_t{1} << 32) << name;
+      }
+    }
+  }
+}
+
+TEST(FuzzSmoke, BoundedPackParseSurvivesGarbage) {
+  Rng rng(47);
+  std::vector<Pack::Entry> entries;
+  for (uint64_t k = 0; k < 20; ++k) {
+    entries.push_back({EncodeKey64(k * 3), rng.Bytes(rng.Uniform(40))});
+  }
+  const std::string valid = Pack::FromSorted(std::move(entries))->Serialize();
+  for (int i = 0; i < 2000; ++i) {
+    const std::string through = EncodeKey64(rng.Uniform(70));
+    std::string input = i % 2 == 0 ? SeededGarbage(&rng, valid, 200)
+                                   : valid.substr(0, rng.Uniform(valid.size() + 1));
+    (void)Pack::PassesBound(input, through);
+    auto pack = Pack::FromSerialized(std::move(input), through);
+    if (pack.ok()) {
+      EXPECT_FALSE(pack->complete());
+      for (const auto& e : pack->entries()) {
+        EXPECT_LE(e.key, through);
+      }
+    }
+  }
+}
+
 // The SIMD decompress fast paths must be exactly as robust as the scalar
 // oracle: run the same adversarial sweep at every dispatch level the host
 // supports and require identical ok/corruption verdicts (and bytes).
@@ -169,8 +232,13 @@ TEST(FuzzSmoke, AesGcmDecryptSurvivesGarbage) {
 TEST(FuzzSmoke, PaddingUnpadSurvivesGarbage) {
   Rng rng(23);
   for (int i = 0; i < 1000; ++i) {
-    auto out = PaddingTiers::Unpad(RandomGarbage(&rng, 100));
-    (void)out;
+    // Unpad returns a view into its input, so the input must outlive it.
+    const std::string padded = RandomGarbage(&rng, 100);
+    auto out = PaddingTiers::Unpad(padded);
+    if (out.ok()) {
+      EXPECT_GE(out->data(), padded.data());
+      EXPECT_LE(out->data() + out->size(), padded.data() + padded.size());
+    }
   }
 }
 

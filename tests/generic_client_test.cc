@@ -541,6 +541,129 @@ TEST_F(GenericClientTest, MultiGetEncryptedPackIdsMode) {
 // Pins the stats contract: CreateTable starts a fresh counter epoch, and
 // put_retries counts every scheduled retry under one convention whether the
 // trigger was contention, a split, or a transient Unavailable.
+// --- Bounded reads -------------------------------------------------------------
+//
+// With the pack cache off, Get, GetRange and MultiGet open each pack only up
+// to the largest key they need. A cache-on client opens whole packs, so on the
+// same cluster the two must return exactly the same answers.
+
+std::string Describe(const Result<std::string>& r) {
+  return r.ok() ? "ok:" + *r : r.status().ToString();
+}
+
+void ExpectPrefixReadsMatchCacheOn(Cluster* cluster, const MiniCryptOptions& options,
+                                   const SymmetricKey& key, uint64_t max_key) {
+  MiniCryptOptions off = options;
+  off.cache_capacity_bytes = 0;
+  MiniCryptOptions on = options;
+  on.cache_capacity_bytes = 8 << 20;
+  GenericClient bounded(cluster, off, key);
+  GenericClient whole(cluster, on, key);
+  ASSERT_EQ(bounded.pack_cache(), nullptr);
+  ASSERT_NE(whole.pack_cache(), nullptr);
+
+  for (uint64_t k = 0; k <= max_key + 3; ++k) {
+    EXPECT_EQ(Describe(bounded.Get(k)), Describe(whole.Get(k))) << "Get " << k;
+  }
+  Rng rng(91);
+  for (int i = 0; i < 60; ++i) {
+    const uint64_t lo = rng.Uniform(max_key + 4);
+    const uint64_t hi = i % 3 == 0 ? lo : lo + rng.Uniform(40);
+    auto a = bounded.GetRange(lo, hi);
+    auto b = whole.GetRange(lo, hi);
+    ASSERT_TRUE(a.ok()) << a.status().ToString();
+    ASSERT_TRUE(b.ok()) << b.status().ToString();
+    EXPECT_EQ(*a, *b) << "GetRange " << lo << ".." << hi;
+  }
+  for (int i = 0; i < 30; ++i) {
+    std::vector<uint64_t> keys;
+    const size_t n = 1 + rng.Uniform(25);
+    for (size_t j = 0; j < n; ++j) {
+      keys.push_back(rng.Uniform(max_key + 4));
+    }
+    const auto a = bounded.MultiGet(keys);
+    const auto b = whole.MultiGet(keys);
+    ASSERT_EQ(a.size(), keys.size());
+    ASSERT_EQ(b.size(), keys.size());
+    for (size_t j = 0; j < keys.size(); ++j) {
+      EXPECT_EQ(Describe(a[j]), Describe(b[j])) << "MultiGet key " << keys[j];
+    }
+  }
+}
+
+// Rows large enough that a pack spans several prefix-decode steps, then
+// overwrites, deletes and inserts that split packs.
+void LoadPrefixRows(GenericClient* client, uint64_t n) {
+  Rng rng(17);
+  std::vector<std::pair<uint64_t, std::string>> rows;
+  for (uint64_t k = 0; k < n; k += 2) {
+    rows.emplace_back(k, "row" + std::to_string(k) + ":" + rng.Bytes(500 + rng.Uniform(2500)));
+  }
+  ASSERT_TRUE(client->BulkLoad(rows).ok());
+  for (uint64_t k = 1; k < n; k += 6) {
+    ASSERT_TRUE(client->Put(k, "new" + std::to_string(k)).ok());
+  }
+  for (uint64_t k = 0; k < n; k += 10) {
+    ASSERT_TRUE(client->Put(k, "over" + std::to_string(k)).ok());
+  }
+  for (uint64_t k = 4; k < n; k += 14) {
+    ASSERT_TRUE(client->Delete(k).ok());
+  }
+}
+
+TEST_F(GenericClientTest, PrefixReadsMatchCacheOnClient) {
+  options_.pack_rows = 16;
+  GenericClient writer(&cluster_, options_, key_);
+  LoadPrefixRows(&writer, 240);
+  ExpectPrefixReadsMatchCacheOn(&cluster_, options_, key_, 240);
+}
+
+TEST_F(GenericClientTest, PrefixReadsMatchCacheOnClientForEveryCodec) {
+  for (std::string_view codec : {"snappylike", "lz4like", "zlib", "bzip2", "lzma"}) {
+    MiniCryptOptions o = options_;
+    o.table = "prefix_" + std::string(codec);
+    o.codec = std::string(codec);
+    o.pack_rows = 16;
+    GenericClient writer(&cluster_, o, key_);
+    ASSERT_TRUE(writer.CreateTable().ok());
+    LoadPrefixRows(&writer, 96);
+    ExpectPrefixReadsMatchCacheOn(&cluster_, o, key_, 96);
+  }
+}
+
+TEST_F(GenericClientTest, PrefixReadsMatchCacheOnClientInOpeMode) {
+  MiniCryptOptions ope = options_;
+  ope.table = "prefix_ope";
+  ope.ope_pack_ids = true;
+  ope.pack_rows = 16;
+  GenericClient writer(&cluster_, ope, key_);
+  ASSERT_TRUE(writer.CreateTable().ok());
+  LoadPrefixRows(&writer, 160);
+  ExpectPrefixReadsMatchCacheOn(&cluster_, ope, key_, 160);
+}
+
+// A crashed split leaves stale copies of the right half in the left pack;
+// bounded reads must still route every key to its authoritative pack.
+TEST_F(GenericClientTest, PrefixReadsMatchCacheOnClientAfterCrashedSplit) {
+  options_.pack_rows = 4;
+  options_.hash_partitions = 1;
+  GenericClient writer(&cluster_, options_, key_);
+  MiniCryptOptions big = options_;
+  big.pack_rows = 16;
+  GenericClient loader(&cluster_, big, key_);
+  std::vector<std::pair<uint64_t, std::string>> rows;
+  for (uint64_t k = 0; k < 8; ++k) {
+    rows.emplace_back(k, "v" + std::to_string(k) + std::string(6000, 'a' + k));
+  }
+  ASSERT_TRUE(loader.BulkLoad(rows).ok());
+  writer.set_split_fail_point(GenericClient::SplitFailPoint::kAfterRightInsert);
+  EXPECT_TRUE(writer.Put(3, "during-crash").IsAborted());
+  writer.set_split_fail_point(GenericClient::SplitFailPoint::kNone);
+  ASSERT_TRUE(writer.Put(6, "fresh").ok());
+  ASSERT_TRUE(writer.Delete(7).ok());
+  ExpectPrefixReadsMatchCacheOn(&cluster_, options_, key_, 8);
+}
+
 TEST_F(GenericClientTest, StatsResetOnCreateTableAndUnifiedPutRetries) {
   ASSERT_TRUE(client_->Put(1, "a").ok());
   ASSERT_TRUE(client_->Put(2, "b").ok());

@@ -39,6 +39,19 @@ TEST(PackCache, DisabledCacheNoOps) {
   EXPECT_EQ(cache.Stats().bytes_used, 0u);
 }
 
+TEST(PackCache, RefusesPartialPack) {
+  SimulatedClock clock;
+  PackCache cache(/*capacity_bytes=*/1 << 20, /*ttl_micros=*/0, &clock);
+  const Pack whole = *OneKeyPack(1, "v");
+  auto partial = Pack::FromSerialized(whole.Serialize(), EncodeKey64(5));
+  ASSERT_TRUE(partial.ok());
+  ASSERT_FALSE(partial->complete());
+  cache.Put("t", "p", EncodeKey64(1), std::make_shared<const Pack>(std::move(*partial)), "h1");
+  EXPECT_EQ(cache.ValidateAndGet("t", "p", EncodeKey64(1), "h1"), nullptr);
+  EXPECT_FALSE(cache.Floor("t", "p", EncodeKey64(1), false).has_value());
+  EXPECT_EQ(cache.Stats().bytes_used, 0u);
+}
+
 TEST(PackCache, FloorRoutesWithinScopeOnly) {
   SimulatedClock clock;
   PackCache cache(1 << 20, 0, &clock, /*shards=*/1);
