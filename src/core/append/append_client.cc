@@ -6,14 +6,12 @@
 
 #include "src/common/coding.h"
 #include "src/core/pack.h"
+#include "src/core/pack_row.h"
 #include "src/obs/metrics.h"
 
 namespace minicrypt {
 
 namespace {
-
-constexpr std::string_view kValueColumn = "v";
-constexpr std::string_view kHashColumn = "h";
 
 Cell PlainCell(std::string value) { return Cell{std::move(value), 0, false}; }
 
@@ -433,12 +431,9 @@ Status AppendClient::MergeEpoch(uint64_t epoch) {
     MC_ASSIGN_OR_RETURN(Pack pack, Pack::FromSorted(std::move(chunk)));
     chunk.clear();
     MC_ASSIGN_OR_RETURN(SealedPack sealed, crypter_.Seal(pack));
-    Row row;
-    row.cells[std::string(kValueColumn)] = PlainCell(sealed.envelope);
-    row.cells[std::string(kHashColumn)] = PlainCell(sealed.hash);
     const Status s =
         cluster_->WriteIf(options_.table, EpochPartition(kMergedEpoch),
-                          std::string(*pack.MinKey()), row, LwtCondition::NotExists());
+                          std::string(*pack.MinKey()), PackRow(sealed), LwtCondition::NotExists());
     if (!s.ok() && !s.IsConditionFailed()) {
       return s;
     }

@@ -5,31 +5,13 @@
 #include <vector>
 
 #include "src/common/coding.h"
+#include "src/core/pack_row.h"
 #include "src/kvstore/fault_injector.h"
 #include "src/obs/metrics.h"
 
 namespace minicrypt {
 
 namespace {
-
-constexpr std::string_view kValueColumn = "v";
-constexpr std::string_view kHashColumn = "h";
-
-Row PackRow(const SealedPack& sealed) {
-  Row row;
-  row.cells[std::string(kValueColumn)] = Cell{sealed.envelope, 0, false};
-  row.cells[std::string(kHashColumn)] = Cell{sealed.hash, 0, false};
-  return row;
-}
-
-Result<std::pair<std::string_view, std::string_view>> ExtractPackCells(const Row& row) {
-  auto v = row.cells.find(kValueColumn);
-  auto h = row.cells.find(kHashColumn);
-  if (v == row.cells.end() || h == row.cells.end()) {
-    return Status::Corruption("pack row missing value/hash cells");
-  }
-  return std::make_pair(std::string_view(v->second.value), std::string_view(h->second.value));
-}
 
 // Human-readable pack id for error messages: the decoded key when the id is
 // a plain encoded key, hex otherwise (OPE image / PRF output).
@@ -133,6 +115,9 @@ GenericClient::GenericClient(Cluster* cluster, const MiniCryptOptions& options,
                options.retry_jitter_seed != 0 ? options.retry_jitter_seed : kDefaultJitterSeed) {
   if (options_.encrypt_pack_ids) {
     packid_cipher_.emplace(options_, key_);
+    // PRF-bucket mode has no floor order for the version probe to route on;
+    // the cache only serves the floor-addressed modes.
+    cache_.reset();
   }
   if (options_.ope_pack_ids) {
     ope_.emplace(key_.Derive("packid-ope:" + options_.table));
@@ -149,6 +134,24 @@ void GenericClient::BackoffBeforeRetry(int attempt) {
     OBS_COUNTER_ADD("client.backoff_micros", delay);
     clock_->SleepMicros(delay);
   }
+}
+
+template <typename Op>
+auto GenericClient::RetryUnavailable(const Op& op, bool count_get_retry) -> decltype(op()) {
+  decltype(op()) result = Status::Unavailable("not attempted: max_put_retries is 0");
+  for (int attempt = 0; attempt < options_.max_put_retries; ++attempt) {
+    if (attempt > 0) {
+      if (count_get_retry) {
+        OBS_COUNTER_INC("client.get.unavailable_retries");
+      }
+      BackoffBeforeRetry(attempt - 1);
+    }
+    result = op();
+    if (result.ok() || !result.status().IsUnavailable()) {
+      break;  // only transient unavailability is worth retrying
+    }
+  }
+  return result;
 }
 
 std::string GenericClient::StoredKeyFor(std::string_view encoded_key) const {
@@ -223,9 +226,7 @@ Result<GenericClient::FetchedPack> GenericClient::FetchPackFor(
 Result<GenericClient::FetchedPack> GenericClient::FetchPackCached(
     std::string_view partition, std::string_view encoded_key, bool allow_ttl,
     std::optional<std::string_view> through) {
-  // PRF-bucket mode has no floor order for the probe to route on; the cache
-  // only serves the floor-addressed modes.
-  if (cache_ == nullptr || packid_cipher_.has_value()) {
+  if (cache_ == nullptr) {
     return FetchPackFor(partition, encoded_key, ReadBound(through));
   }
   const std::string stored = StoredKeyFor(encoded_key);
@@ -294,32 +295,22 @@ Result<GenericClient::FetchedPack> GenericClient::FetchPackCached(
 Result<GenericClient::FetchedPack> GenericClient::FetchWithRetries(
     std::string_view partition, std::string_view encoded_key, bool allow_ttl,
     std::optional<std::string_view> through) {
-  Result<FetchedPack> fetched = Status::Unavailable("fetch never attempted");
-  for (int attempt = 0; attempt < options_.max_put_retries; ++attempt) {
-    if (attempt > 0) {
-      OBS_COUNTER_INC("client.get.unavailable_retries");
-      BackoffBeforeRetry(attempt - 1);
-    }
-    fetched = FetchPackCached(partition, encoded_key, allow_ttl, through);
-    if (fetched.ok() || !fetched.status().IsUnavailable()) {
-      break;  // only transient unavailability is worth retrying
-    }
-  }
-  return fetched;
+  return RetryUnavailable(
+      [&] { return FetchPackCached(partition, encoded_key, allow_ttl, through); },
+      /*count_get_retry=*/true);
 }
 
 Result<std::shared_ptr<const Pack>> GenericClient::OpenPackCached(
     std::string_view partition, std::string_view pack_id, std::string_view envelope,
     std::string_view hash, std::optional<std::string_view> through) {
-  const bool use_cache = cache_ != nullptr && !packid_cipher_.has_value();
-  if (use_cache) {
+  if (cache_ != nullptr) {
     if (auto pack = cache_->ValidateAndGet(options_.table, partition, pack_id, hash)) {
       return pack;  // identical bytes by hash: skip the decrypt + decompress
     }
   }
   MC_ASSIGN_OR_RETURN(Pack pack, crypter_.Open(envelope, pack_id, ReadBound(through)));
   auto shared = std::make_shared<const Pack>(std::move(pack));
-  if (use_cache) {
+  if (cache_ != nullptr) {
     cache_->Put(options_.table, partition, pack_id, shared, std::string(hash));
   }
   return shared;
@@ -337,14 +328,14 @@ std::optional<std::string_view> GenericClient::ReadBound(
 
 void GenericClient::CacheAfterWrite(std::string_view partition, std::string_view pack_id,
                                     const Pack& pack, const std::string& hash) {
-  if (cache_ == nullptr || packid_cipher_.has_value()) {
+  if (cache_ == nullptr) {
     return;
   }
   cache_->Put(options_.table, partition, pack_id, std::make_shared<const Pack>(pack), hash);
 }
 
 void GenericClient::CacheInvalidate(std::string_view partition, std::string_view pack_id) {
-  if (cache_ == nullptr || packid_cipher_.has_value()) {
+  if (cache_ == nullptr) {
     return;
   }
   cache_->Invalidate(options_.table, partition, pack_id);
@@ -510,18 +501,9 @@ Result<std::vector<std::pair<uint64_t, std::string>>> GenericClient::GetRange(ui
   // contiguous keys are spread across them.
   for (int p = 0; p < options_.hash_partitions; ++p) {
     const std::string partition = PartitionLabel(p);
-    Result<std::vector<std::pair<std::string, Row>>> rows =
-        Status::Unavailable("range never attempted");
-    for (int attempt = 0; attempt < options_.max_put_retries; ++attempt) {
-      if (attempt > 0) {
-        OBS_COUNTER_INC("client.get.unavailable_retries");
-        BackoffBeforeRetry(attempt - 1);
-      }
-      rows = cluster_->ReadRange(options_.table, partition, slo, shi);
-      if (rows.ok() || !rows.status().IsUnavailable()) {
-        break;
-      }
-    }
+    auto rows = RetryUnavailable(
+        [&] { return cluster_->ReadRange(options_.table, partition, slo, shi); },
+        /*count_get_retry=*/true);
     if (!rows.ok()) {
       return rows.status();
     }
@@ -1027,20 +1009,12 @@ Status GenericClient::ResealPack(std::string_view partition, std::string_view pa
 Status GenericClient::RepackPartition(std::string_view partition, uint64_t target,
                                       size_t* resealed) {
   OBS_SPAN("rotation.repack_partition");
-  Result<std::vector<std::pair<std::string, Row>>> rows =
-      Status::Unavailable("repack scan never attempted");
   // Inclusive scan of the whole stored-packID space; stored ids (encoded
   // keys, OPE images, PRF output) are all far shorter than 64 bytes.
   const std::string hi(64, '\xff');
-  for (int attempt = 0; attempt < options_.max_put_retries; ++attempt) {
-    if (attempt > 0) {
-      BackoffBeforeRetry(attempt - 1);
-    }
-    rows = cluster_->ReadRange(options_.table, partition, "", hi);
-    if (rows.ok() || !rows.status().IsUnavailable()) {
-      break;
-    }
-  }
+  auto rows =
+      RetryUnavailable([&] { return cluster_->ReadRange(options_.table, partition, "", hi); },
+                       /*count_get_retry=*/false);
   if (!rows.ok()) {
     return rows.status();
   }

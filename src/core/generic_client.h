@@ -186,7 +186,9 @@ class GenericClient {
   const MiniCryptOptions& options() const { return options_; }
 
   // The decrypted-pack cache this client consults; nullptr when caching is
-  // off. Share it across clients by passing it to their constructors.
+  // off, and always in encrypt_pack_ids mode (PRF packIDs have no floor order
+  // for the version probe to route on). Share it across clients by passing
+  // it to their constructors.
   const std::shared_ptr<PackCache>& pack_cache() const { return cache_; }
 
   // Test hooks: fail-points that abort a split at a chosen step, modelling a
@@ -221,8 +223,7 @@ class GenericClient {
   Result<FetchedPack> FetchPackCached(std::string_view partition, std::string_view encoded_key,
                                       bool allow_ttl, std::optional<std::string_view> through);
 
-  // FetchPackCached wrapped in the bounded Unavailable-retry loop shared by
-  // the read paths.
+  // FetchPackCached wrapped in RetryUnavailable.
   Result<FetchedPack> FetchWithRetries(std::string_view partition, std::string_view encoded_key,
                                        bool allow_ttl, std::optional<std::string_view> through);
 
@@ -259,6 +260,13 @@ class GenericClient {
   // Sleeps the backoff delay for the given 0-based retry ordinal via the
   // cluster's clock.
   void BackoffBeforeRetry(int attempt);
+
+  // The read paths' retry loop: runs `op` (returning a Result) until it
+  // returns anything but Unavailable, at most max_put_retries times, backing
+  // off before each retry. With `count_get_retry`, each retry counts as
+  // client.get.unavailable_retries. Returns the last result.
+  template <typename Op>
+  auto RetryUnavailable(const Op& op, bool count_get_retry) -> decltype(op());
 
   // Runs the split protocol of Figure 6 on a fetched pack.
   Status SplitPack(std::string_view partition, const FetchedPack& fetched);

@@ -4,32 +4,15 @@
 #include <set>
 
 #include "src/common/coding.h"
+#include "src/core/pack_row.h"
 #include "src/obs/metrics.h"
 
 namespace minicrypt {
 
 namespace {
 
-constexpr std::string_view kValueColumn = "v";
-constexpr std::string_view kHashColumn = "h";
 // The manifest pack holds a single entry under this key.
 constexpr std::string_view kManifestEntryKey = "m";
-
-Row IndexPackRow(const SealedPack& sealed) {
-  Row row;
-  row.cells[std::string(kValueColumn)] = Cell{sealed.envelope, 0, false};
-  row.cells[std::string(kHashColumn)] = Cell{sealed.hash, 0, false};
-  return row;
-}
-
-Result<std::pair<std::string_view, std::string_view>> ExtractIndexCells(const Row& row) {
-  auto v = row.cells.find(kValueColumn);
-  auto h = row.cells.find(kHashColumn);
-  if (v == row.cells.end() || h == row.cells.end()) {
-    return Status::Corruption("index pack row missing value/hash cells");
-  }
-  return std::make_pair(std::string_view(v->second.value), std::string_view(h->second.value));
-}
 
 // An index entry's pack key: attr (big-endian) || pk (big-endian). Unique per
 // (attr, pk), and lexicographic order == (attr, pk) order, so in-range slices
@@ -163,7 +146,7 @@ Result<SecondaryIndex::IndexRow> SecondaryIndex::ReadIndexRow(std::string_view p
   if (!row.ok()) {
     return row.status();
   }
-  MC_ASSIGN_OR_RETURN(auto cells, ExtractIndexCells(*row));
+  MC_ASSIGN_OR_RETURN(auto cells, ExtractPackCells(*row));
   MC_ASSIGN_OR_RETURN(Pack pack, crypter_.Open(cells.first));
   IndexRow out;
   out.row_key = std::string(row_key);
@@ -192,7 +175,7 @@ Result<std::vector<SecondaryIndex::IndexRow>> SecondaryIndex::ReadSegments() {
   std::vector<IndexRow> out;
   out.reserve(rows->size());
   for (auto& [id, row] : *rows) {
-    MC_ASSIGN_OR_RETURN(auto cells, ExtractIndexCells(row));
+    MC_ASSIGN_OR_RETURN(auto cells, ExtractPackCells(row));
     MC_ASSIGN_OR_RETURN(Pack pack, crypter_.Open(cells.first));
     IndexRow seg;
     seg.row_key = id;
@@ -213,9 +196,9 @@ Status SecondaryIndex::WriteIndexPack(std::string_view partition, std::string_vi
       BackoffBeforeRetry(attempt - 1);
     }
     s = expected_hash.empty()
-            ? cluster_->WriteIf(table_, partition, row_key, IndexPackRow(sealed),
+            ? cluster_->WriteIf(table_, partition, row_key, PackRow(sealed),
                                 LwtCondition::NotExists())
-            : cluster_->WriteIf(table_, partition, row_key, IndexPackRow(sealed),
+            : cluster_->WriteIf(table_, partition, row_key, PackRow(sealed),
                                 LwtCondition::CellEquals(std::string(kHashColumn),
                                                          std::string(expected_hash)));
     if (s.ok() || s.IsConditionFailed() || s.IsAlreadyExists()) {
@@ -229,7 +212,7 @@ Status SecondaryIndex::WriteIndexPack(std::string_view partition, std::string_vi
     // serialized plaintext does).
     auto current = cluster_->Read(table_, partition, row_key);
     if (current.ok()) {
-      auto cells = ExtractIndexCells(*current);
+      auto cells = ExtractPackCells(*current);
       if (!cells.ok()) {
         return cells.status();
       }
@@ -448,7 +431,7 @@ Status SecondaryIndex::AddTotalOrder(uint64_t attr, const std::string& entry_key
       }
       return s;
     }
-    MC_ASSIGN_OR_RETURN(auto cells, ExtractIndexCells(floor->second));
+    MC_ASSIGN_OR_RETURN(auto cells, ExtractPackCells(floor->second));
     MC_ASSIGN_OR_RETURN(Pack pack, crypter_.Open(cells.first));
     IndexRow leaf;
     leaf.row_key = floor->first;
@@ -616,7 +599,7 @@ Status SecondaryIndex::BulkAdd(std::vector<std::pair<uint64_t, uint64_t>> attr_p
     }
     MC_RETURN_IF_ERROR(cluster_->Write(
         table_, sorted_leaves ? kIndexLeafPartition : kIndexBufferPartition, row_key,
-        IndexPackRow(sealed)));
+        PackRow(sealed)));
   }
   return Status::Ok();
 }
@@ -903,7 +886,7 @@ Result<std::vector<uint64_t>> SecondaryIndex::LookupTotalOrder(uint64_t lo, uint
   }
   std::set<uint64_t> pks;
   for (const auto& [label, row] : *rows) {
-    MC_ASSIGN_OR_RETURN(auto cells, ExtractIndexCells(row));
+    MC_ASSIGN_OR_RETURN(auto cells, ExtractPackCells(row));
     MC_ASSIGN_OR_RETURN(Pack pack, crypter_.Open(cells.first));
     MC_RETURN_IF_ERROR(CollectInRange(pack, lo, hi, &pks));
   }
@@ -917,7 +900,7 @@ Result<std::vector<uint64_t>> SecondaryIndex::LookupTotalOrder(uint64_t lo, uint
   if (auto pred = PredecessorKey(slo); pred.has_value()) {
     auto floor = cluster_->ReadFloor(table_, kIndexLeafPartition, *pred);
     if (floor.ok()) {
-      MC_ASSIGN_OR_RETURN(auto cells, ExtractIndexCells(floor->second));
+      MC_ASSIGN_OR_RETURN(auto cells, ExtractPackCells(floor->second));
       MC_ASSIGN_OR_RETURN(Pack pack, crypter_.Open(cells.first));
       MC_RETURN_IF_ERROR(CollectInRange(pack, lo, hi, &pks));
     } else if (!floor.status().IsNotFound()) {

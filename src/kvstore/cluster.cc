@@ -22,6 +22,31 @@ LatencyHistogram* ReadLatencyFor(Consistency consistency) {
   return consistency == Consistency::kQuorum ? quorum : one;
 }
 
+// Engine call of a row read: one replica's copy of the row, merged
+// newest-wins into *merged. *found turns true once any replica had the row.
+Status GetAndMerge(StorageEngine* engine, std::string_view partition,
+                   std::string_view clustering, Row* merged, bool* found) {
+  auto row = engine->Get(partition, clustering);
+  if (row.ok()) {
+    if (*found) {
+      merged->MergeNewer(*row);
+    } else {
+      *merged = std::move(*row);
+      *found = true;
+    }
+  }
+  return row.status();
+}
+
+// Bytes a row ships to the client: its cell values.
+size_t ValueBytes(const Row& row) {
+  size_t bytes = 0;
+  for (const auto& [name, cell] : row.cells) {
+    bytes += cell.value.size();
+  }
+  return bytes;
+}
+
 }  // namespace
 
 ClusterOptions ClusterOptions::ForTest() {
@@ -211,6 +236,21 @@ void Cluster::ChargeTransfer(size_t bytes) {
   }
 }
 
+void Cluster::StampAndUpload(Row* row, uint64_t ts) {
+  size_t bytes = 0;
+  for (auto& [name, cell] : row->cells) {
+    cell.timestamp = ts;
+    bytes += name.size() + cell.value.size();
+  }
+  stats_.bytes_from_client.fetch_add(bytes, std::memory_order_relaxed);
+  ChargeTransfer(bytes);
+}
+
+void Cluster::ShipToClient(size_t bytes) {
+  stats_.bytes_to_client.fetch_add(bytes, std::memory_order_relaxed);
+  ChargeTransfer(bytes);
+}
+
 namespace {
 // Message Write/WriteIf/Delete* match to distinguish a racing ownership flip
 // (re-resolve and retry) from a genuine ambiguous-write Unavailable.
@@ -260,16 +300,6 @@ Result<Cluster::ReplicaSet> Cluster::ResolveReplicas(std::string_view table,
   return rs;
 }
 
-Result<std::vector<Node*>> Cluster::ReplicasFor(std::string_view table,
-                                                std::string_view partition,
-                                                std::vector<StorageEngine*>* engines) {
-  MC_ASSIGN_OR_RETURN(ReplicaSet rs, ResolveReplicas(table, partition));
-  if (engines != nullptr) {
-    *engines = std::move(rs.natural_engines);
-  }
-  return std::move(rs.natural);
-}
-
 size_t Cluster::RequiredAcks(size_t replica_count) const {
   return options_.consistency == Consistency::kQuorum ? replica_count / 2 + 1 : 1;
 }
@@ -286,7 +316,6 @@ Status Cluster::Write(std::string_view table, std::string_view partition,
   // exactly the anomaly skew causes in Cassandra. Only plain writes skew;
   // LWT timestamps come from Paxos ballots, which the skewed clock never
   // reaches.
-  Row stamped = update;
   uint64_t ts = NextTimestamp();
   FaultInjector* fi = options_.fault_injector;
   if (fi != nullptr) {
@@ -297,27 +326,13 @@ Status Cluster::Write(std::string_view table, std::string_view partition,
       OBS_COUNTER_INC("cluster.write.clock_skewed");
     }
   }
-  size_t bytes = 0;
-  for (auto& [name, cell] : stamped.cells) {
-    cell.timestamp = ts;
-    bytes += name.size() + cell.value.size();
-  }
-  stats_.bytes_from_client.fetch_add(bytes, std::memory_order_relaxed);
-
   ChargeRtt(1);
-  ChargeTransfer(bytes);
-  // An ownership flip between resolution and phase 1 aborts the apply before
-  // any leg runs or fault point draws; re-resolve against the new topology
-  // and retry. Bounded: back-to-back flips are a test-only pathology.
-  for (int attempt = 0;; ++attempt) {
-    const Status s = ApplyToReplicas(table, rs, partition, clustering, stamped,
-                                     RequiredAcks(rs.natural_engines.size()));
-    if (!IsTopologyAbort(s) || attempt >= 3) {
-      return s;
-    }
-    OBS_COUNTER_INC("ring.topology_retries");
-    MC_ASSIGN_OR_RETURN(rs, ResolveReplicas(table, partition));
-  }
+  Row stamped = update;
+  StampAndUpload(&stamped, ts);
+  return WithTopologyRetry(table, partition, std::move(rs), [&](const ReplicaSet& r) {
+    return ApplyToReplicas(table, r, partition, clustering, stamped,
+                           RequiredAcks(r.natural_engines.size()));
+  });
 }
 
 Status Cluster::WriteIf(std::string_view table, std::string_view partition,
@@ -345,108 +360,66 @@ Status Cluster::WriteIf(std::string_view table, std::string_view partition,
   // A racing ownership flip aborts the commit before any replica applied it;
   // the whole round (condition read included) re-runs against the new
   // topology, still under the Paxos lock.
-  for (int attempt = 0;; ++attempt) {
-  const std::vector<Node*>& replicas = rs.natural;
-  const std::vector<StorageEngine*>& engines = rs.natural_engines;
-  FaultInjector* fi = options_.fault_injector;
-  const size_t quorum = engines.size() / 2 + 1;
-  const std::vector<size_t> live = LiveIndexes(replicas);
-  if (live.size() < quorum) {
-    OBS_COUNTER_INC("cluster.lwt.unavailable");
-    return Status::Unavailable("LWT quorum unavailable: " + std::to_string(live.size()) + "/" +
-                               std::to_string(engines.size()) + " replicas live");
-  }
-  std::optional<Row> existing;
-  {
-    Row merged;
+  return WithTopologyRetry(table, partition, std::move(rs), [&](const ReplicaSet& r) -> Status {
+    const size_t quorum = r.natural_engines.size() / 2 + 1;
+    const std::vector<size_t> live = LiveIndexes(r.natural);
+    if (live.size() < quorum) {
+      OBS_COUNTER_INC("cluster.lwt.unavailable");
+      return Status::Unavailable("LWT quorum unavailable: " + std::to_string(live.size()) + "/" +
+                                 std::to_string(r.natural_engines.size()) + " replicas live");
+    }
+    Row existing;
     bool found = false;
-    size_t votes = 0;
-    for (size_t idx : live) {
-      if (votes == quorum) {
+    const auto get = [&](StorageEngine* engine) {
+      return GetAndMerge(engine, partition, clustering, &existing, &found);
+    };
+    MC_RETURN_IF_ERROR(
+        ReadReplicas(table, r.natural_engines, live, ReadMode::kLwtCondition,
+                     "LWT condition read", get)
+            .status());
+    bool pass = false;
+    switch (condition.kind) {
+      case LwtCondition::Kind::kNotExists:
+        pass = !found;
+        break;
+      case LwtCondition::Kind::kRowExists:
+        pass = found;
+        break;
+      case LwtCondition::Kind::kCellEquals: {
+        auto it = existing.cells.find(condition.column);
+        pass = it != existing.cells.end() && it->second.value == condition.value;
         break;
       }
-      if (fi != nullptr && fi->Fire(FaultPoint::kMediaReadError, table)) {
-        OBS_COUNTER_INC("cluster.read.replica_errors");
-        continue;
+    }
+    if (!pass) {
+      OBS_COUNTER_INC("cluster.lwt.failures");
+      stats_.lwt_failures.fetch_add(1, std::memory_order_relaxed);
+      if (current != nullptr) {
+        *current = std::move(existing);
       }
-      auto row = engines[idx]->Get(partition, clustering);
-      if (!row.ok() && !row.status().IsNotFound()) {
-        // Corruption counts as a replica-local failure: no vote, fail over.
-        OBS_COUNTER_INC("cluster.read.replica_errors");
-        continue;
-      }
-      ++votes;
-      if (row.ok()) {
-        merged.MergeNewer(*row);
-        found = true;
-      }
+      return Status::ConditionFailed();
     }
-    if (votes < quorum) {
-      OBS_COUNTER_INC("cluster.lwt.unavailable");
-      return Status::Unavailable("LWT condition read got " + std::to_string(votes) + "/" +
-                                 std::to_string(quorum) + " quorum votes");
-    }
-    if (found) {
-      existing = std::move(merged);
-    }
-  }
-  bool pass = false;
-  switch (condition.kind) {
-    case LwtCondition::Kind::kNotExists:
-      pass = !existing.has_value();
-      break;
-    case LwtCondition::Kind::kRowExists:
-      pass = existing.has_value();
-      break;
-    case LwtCondition::Kind::kCellEquals: {
-      if (existing.has_value()) {
-        auto it = existing->cells.find(condition.column);
-        pass = it != existing->cells.end() && it->second.value == condition.value;
-      }
-      break;
-    }
-  }
-  if (!pass) {
-    OBS_COUNTER_INC("cluster.lwt.failures");
-    stats_.lwt_failures.fetch_add(1, std::memory_order_relaxed);
-    if (current != nullptr) {
-      *current = existing.has_value() ? *existing : Row{};
-    }
-    return Status::ConditionFailed();
-  }
 
-  Row stamped = update;
-  const uint64_t ts = NextTimestamp();
-  size_t bytes = 0;
-  for (auto& [name, cell] : stamped.cells) {
-    cell.timestamp = ts;
-    bytes += name.size() + cell.value.size();
-  }
-  stats_.bytes_from_client.fetch_add(bytes, std::memory_order_relaxed);
-  ChargeTransfer(bytes);
-  // LWT commits require a quorum regardless of the configured plain-write
-  // consistency (Cassandra's SERIAL path), or the next condition read could
-  // miss this write entirely.
-  const Status applied =
-      ApplyToReplicas(table, rs, partition, clustering, stamped, quorum);
-  if (IsTopologyAbort(applied) && attempt < 3) {
-    OBS_COUNTER_INC("ring.topology_retries");
-    MC_ASSIGN_OR_RETURN(rs, ResolveReplicas(table, partition));
-    continue;
-  }
-  MC_RETURN_IF_ERROR(applied);
-  if (fi != nullptr && fi->Fire(FaultPoint::kLwtAmbiguous, table)) {
-    // The classic ambiguous write: the update IS applied (and durable at a
-    // quorum), but the coordinator's ack is lost. Clients must re-read and
-    // verify, never blind-retry.
-    OBS_COUNTER_INC("cluster.lwt.ambiguous");
-    return Status::Unavailable("injected: LWT applied but coordinator timed out");
-  }
-  return Status::Ok();
-  }
+    Row stamped = update;
+    StampAndUpload(&stamped, NextTimestamp());
+    // LWT commits require a quorum regardless of the configured plain-write
+    // consistency (Cassandra's SERIAL path), or the next condition read could
+    // miss this write entirely.
+    MC_RETURN_IF_ERROR(ApplyToReplicas(table, r, partition, clustering, stamped, quorum));
+    FaultInjector* fi = options_.fault_injector;
+    if (fi != nullptr && fi->Fire(FaultPoint::kLwtAmbiguous, table)) {
+      // The classic ambiguous write: the update IS applied (and durable at a
+      // quorum), but the coordinator's ack is lost. Clients must re-read and
+      // verify, never blind-retry.
+      OBS_COUNTER_INC("cluster.lwt.ambiguous");
+      return Status::Unavailable("injected: LWT applied but coordinator timed out");
+    }
+    return Status::Ok();
+  });
 }
 
-std::vector<size_t> Cluster::LiveIndexesLocked(const std::vector<Node*>& replicas) const {
+std::vector<size_t> Cluster::LiveIndexes(const std::vector<Node*>& replicas) const {
+  std::lock_guard<std::mutex> lock(down_mu_);
   std::vector<size_t> live;
   live.reserve(replicas.size());
   for (size_t i = 0; i < replicas.size(); ++i) {
@@ -458,39 +431,65 @@ std::vector<size_t> Cluster::LiveIndexesLocked(const std::vector<Node*>& replica
   return live;
 }
 
-std::vector<size_t> Cluster::LiveIndexes(const std::vector<Node*>& replicas) const {
-  std::lock_guard<std::mutex> lock(down_mu_);
-  return LiveIndexesLocked(replicas);
-}
-
-Status Cluster::ReadOne(std::string_view table, const std::vector<Node*>& replicas,
-                        const std::vector<StorageEngine*>& engines,
-                        const std::function<Status(StorageEngine*)>& op) {
-  const std::vector<size_t> live = LiveIndexes(replicas);
-  if (live.empty()) {
+Result<std::vector<size_t>> Cluster::ReadReplicas(
+    std::string_view table, const std::vector<StorageEngine*>& engines,
+    const std::vector<size_t>& live, ReadMode mode, std::string_view what,
+    const std::function<Status(StorageEngine*)>& read) {
+  const bool one = mode == ReadMode::kOne;
+  if (one && live.empty()) {
     return Status::Unavailable("no live replica for read");
   }
+  const size_t want = one ? 1 : engines.size() / 2 + 1;
+  const uint64_t start = one ? read_rr_.fetch_add(1, std::memory_order_relaxed) : 0;
   FaultInjector* fi = options_.fault_injector;
-  const uint64_t n = read_rr_.fetch_add(1, std::memory_order_relaxed);
-  // Prefer the round-robin choice; fall forward past replicas whose read
-  // fails at the media layer or answers Corruption. A bad block never
-  // reaches the client as data — the worst case is every copy bad, and that
-  // surfaces as the error below, not as bytes.
+  std::vector<size_t> contacted;
   Status last = Status::Unavailable("read failed on every live replica");
-  for (size_t step = 0; step < live.size(); ++step) {
-    const size_t i = live[(n + step) % live.size()];
+  for (size_t step = 0; step < live.size() && contacted.size() < want; ++step) {
+    const size_t idx = live[(start + step) % live.size()];
     if (fi != nullptr && fi->Fire(FaultPoint::kMediaReadError, table)) {
       OBS_COUNTER_INC("cluster.read.replica_errors");
       continue;
     }
-    const Status s = op(engines[i]);
-    if (s.ok() || s.IsNotFound()) {
+    const Status s = read(engines[idx]);
+    if (!s.ok() && !s.IsNotFound()) {
+      OBS_COUNTER_INC("cluster.read.replica_errors");
+      last = s;
+      continue;
+    }
+    if (mode == ReadMode::kQuorum && !contacted.empty()) {
+      ChargeRtt(1);  // extra replica hop under QUORUM
+    }
+    contacted.push_back(idx);
+  }
+  if (contacted.size() == want) {
+    return contacted;
+  }
+  if (one) {
+    return last;
+  }
+  if (mode == ReadMode::kLwtCondition) {
+    OBS_COUNTER_INC("cluster.lwt.unavailable");
+  } else {
+    OBS_COUNTER_INC("cluster.read.unavailable");
+  }
+  return Status::Unavailable(std::string(what) + " got " + std::to_string(contacted.size()) +
+                             "/" + std::to_string(want) + " votes");
+}
+
+Status Cluster::WithTopologyRetry(std::string_view table, std::string_view partition,
+                                  ReplicaSet rs,
+                                  const std::function<Status(const ReplicaSet&)>& round) {
+  // An ownership flip between resolution and phase 1 aborts the apply before
+  // any leg runs or fault point draws; re-resolve against the new topology
+  // and retry. Bounded: back-to-back flips are a test-only pathology.
+  for (int attempt = 0;; ++attempt) {
+    const Status s = round(rs);
+    if (!IsTopologyAbort(s) || attempt >= 3) {
       return s;
     }
-    OBS_COUNTER_INC("cluster.read.replica_errors");
-    last = s;
+    OBS_COUNTER_INC("ring.topology_retries");
+    MC_ASSIGN_OR_RETURN(rs, ResolveReplicas(table, partition));
   }
-  return last;
 }
 
 void Cluster::SetNodeDown(int node, bool down) {
@@ -1358,10 +1357,10 @@ uint64_t HashCombine(uint64_t h, uint64_t v) {
 }
 }  // namespace
 
-size_t Cluster::RepairContacted(std::string_view table, const std::vector<Node*>& replicas,
-                                const std::vector<StorageEngine*>& engines,
+size_t Cluster::RepairContacted(std::string_view table, const ReplicaSet& rs,
                                 const std::vector<size_t>& contacted, std::string_view partition,
                                 std::string_view clustering, const Row& merged) {
+  const std::vector<StorageEngine*>& engines = rs.natural_engines;
   size_t holders = 0;
   for (size_t idx : contacted) {
     auto have = engines[idx]->Get(partition, clustering);
@@ -1378,7 +1377,7 @@ size_t Cluster::RepairContacted(std::string_view table, const std::vector<Node*>
     } else {
       // The replica rejected the repair (injected commit-log fault): park it
       // as a hint, like any other failed replica write.
-      const auto node_id = static_cast<size_t>(replicas[idx]->id());
+      const auto node_id = static_cast<size_t>(rs.natural[idx]->id());
       std::lock_guard<std::mutex> lock(down_mu_);
       OBS_COUNTER_INC("cluster.hints.queued");
       hints_[node_id].push_back(
@@ -1514,16 +1513,23 @@ Result<size_t> Cluster::ScrubNode(int node) {
   }
   Quiesce();  // scrub rebuilds from peer scans; settle in-flight writes
   OBS_SPAN("cluster.scrub_node");
+  // Scrub outside the node's engine-map lock: the rebuild takes ring_mu_,
+  // down_mu_ and peer nodes' locks, and ResolveReplicas and hint replay take
+  // those before a node's lock.
+  std::vector<std::pair<std::string, StorageEngine*>> engines;
+  target->ForEachEngine([&](const std::string& table, StorageEngine* engine) {
+    engines.emplace_back(table, engine);
+  });
   size_t blocks_rebuilt = 0;
   Status first = Status::Ok();
-  target->ForEachEngine([&](const std::string& table, StorageEngine* engine) {
+  for (const auto& [table, engine] : engines) {
     std::vector<QuarantinedRange> ranges;
     const Status s = engine->Scrub(&ranges);
     if (!s.ok()) {
       if (first.ok()) {
         first = s;
       }
-      return;
+      continue;
     }
     // Rebuild each quarantined range from healthy peers BEFORE dropping the
     // corrupt tables: the replica keeps answering for every row it acked.
@@ -1534,7 +1540,7 @@ Result<size_t> Cluster::ScrubNode(int node) {
       blocks_rebuilt += range.blocks;
     }
     engine->DropQuarantined();
-  });
+  }
   MC_RETURN_IF_ERROR(first);
   return blocks_rebuilt;
 }
@@ -1698,75 +1704,28 @@ Result<Row> Cluster::Read(std::string_view table, std::string_view partition,
                           std::string_view clustering) {
   ScopedSpan read_span(ReadLatencyFor(options_.consistency));
   stats_.reads.fetch_add(1, std::memory_order_relaxed);
-  std::vector<StorageEngine*> engines;
-  MC_ASSIGN_OR_RETURN(std::vector<Node*> replicas, ReplicasFor(table, partition, &engines));
-  (void)replicas;
+  MC_ASSIGN_OR_RETURN(const ReplicaSet rs, ResolveReplicas(table, partition));
   ChargeRtt(1);
 
+  const bool quorum = options_.consistency == Consistency::kQuorum;
   Row merged;
   bool found = false;
-  if (options_.consistency == Consistency::kQuorum) {
-    FaultInjector* fi = options_.fault_injector;
-    const size_t ask = engines.size() / 2 + 1;
-    const std::vector<size_t> live = LiveIndexes(replicas);
-    size_t votes = 0;
-    std::vector<size_t> contacted;
-    for (size_t idx : live) {
-      if (votes == ask) {
-        break;
-      }
-      if (fi != nullptr && fi->Fire(FaultPoint::kMediaReadError, table)) {
-        OBS_COUNTER_INC("cluster.read.replica_errors");
-        continue;
-      }
-      auto row = engines[idx]->Get(partition, clustering);
-      if (!row.ok() && !row.status().IsNotFound()) {
-        // Corruption: replica-local failure, no vote, fail over.
-        OBS_COUNTER_INC("cluster.read.replica_errors");
-        continue;
-      }
-      if (votes > 0) {
-        ChargeRtt(1);  // extra replica hop under QUORUM
-      }
-      ++votes;
-      contacted.push_back(idx);
-      if (row.ok()) {
-        merged.MergeNewer(*row);
-        found = true;
-      }
-    }
-    if (votes < ask) {
-      OBS_COUNTER_INC("cluster.read.unavailable");
-      return Status::Unavailable("quorum read got " + std::to_string(votes) + "/" +
-                                 std::to_string(ask) + " votes");
-    }
-    if (found &&
-        RepairContacted(table, replicas, engines, contacted, partition, clustering, merged) < ask) {
-      OBS_COUNTER_INC("cluster.read.unavailable");
-      return Status::Unavailable("read repair could not restore a quorum");
-    }
-  } else {
-    const Status s = ReadOne(table, replicas, engines, [&](StorageEngine* engine) {
-      auto row = engine->Get(partition, clustering);
-      if (row.ok()) {
-        merged = std::move(*row);
-        found = true;
-      }
-      return row.status();
-    });
-    if (!s.ok() && !s.IsNotFound()) {
-      return s;
-    }
-  }
+  const auto get = [&](StorageEngine* engine) {
+    return GetAndMerge(engine, partition, clustering, &merged, &found);
+  };
+  MC_ASSIGN_OR_RETURN(const std::vector<size_t> contacted,
+                      ReadReplicas(table, rs.natural_engines, LiveIndexes(rs.natural),
+                                   quorum ? ReadMode::kQuorum : ReadMode::kOne, "quorum read",
+                                   get));
   if (!found) {
     return Status::NotFound();
   }
-  size_t bytes = 0;
-  for (const auto& [name, cell] : merged.cells) {
-    bytes += cell.value.size();
+  if (quorum &&
+      RepairContacted(table, rs, contacted, partition, clustering, merged) < contacted.size()) {
+    OBS_COUNTER_INC("cluster.read.unavailable");
+    return Status::Unavailable("read repair could not restore a quorum");
   }
-  stats_.bytes_to_client.fetch_add(bytes, std::memory_order_relaxed);
-  ChargeTransfer(bytes);
+  ShipToClient(ValueBytes(merged));
   return merged;
 }
 
@@ -1776,12 +1735,7 @@ Result<std::pair<std::string, Row>> Cluster::ReadFloor(std::string_view table,
   ScopedSpan read_span(ReadLatencyFor(options_.consistency));
   OBS_SPAN("cluster.read_floor");
   MC_ASSIGN_OR_RETURN(auto floor, ReadFloorInternal(table, partition, clustering));
-  size_t bytes = 0;
-  for (const auto& [name, cell] : floor.second.cells) {
-    bytes += cell.value.size();
-  }
-  stats_.bytes_to_client.fetch_add(bytes, std::memory_order_relaxed);
-  ChargeTransfer(bytes);
+  ShipToClient(ValueBytes(floor.second));
   return floor;
 }
 
@@ -1798,9 +1752,7 @@ Result<std::pair<std::string, std::string>> Cluster::ReadFloorCell(std::string_v
   }
   // Only the floor key and the requested cell cross the wire — that is the
   // whole point of the probe.
-  const size_t bytes = floor.first.size() + cell->second.value.size();
-  stats_.bytes_to_client.fetch_add(bytes, std::memory_order_relaxed);
-  ChargeTransfer(bytes);
+  ShipToClient(floor.first.size() + cell->second.value.size());
   return std::make_pair(std::move(floor.first), std::move(cell->second.value));
 }
 
@@ -1808,79 +1760,45 @@ Result<std::pair<std::string, Row>> Cluster::ReadFloorInternal(std::string_view 
                                                                std::string_view partition,
                                                                std::string_view clustering) {
   stats_.reads.fetch_add(1, std::memory_order_relaxed);
-  std::vector<StorageEngine*> engines;
-  MC_ASSIGN_OR_RETURN(std::vector<Node*> replicas, ReplicasFor(table, partition, &engines));
-  (void)replicas;
+  MC_ASSIGN_OR_RETURN(const ReplicaSet rs, ResolveReplicas(table, partition));
   ChargeRtt(1);
 
+  const bool quorum = options_.consistency == Consistency::kQuorum;
   std::string floor_id;
   Row merged;
-  if (options_.consistency == Consistency::kQuorum) {
+  bool found = false;
+  const auto find_floor = [&](StorageEngine* engine) {
+    auto result = engine->Floor(partition, clustering);
+    if (result.ok() && (!found || result->first > floor_id)) {
+      floor_id = std::move(result->first);
+      merged = std::move(result->second);
+      found = true;
+    }
+    return result.status();
+  };
+  MC_ASSIGN_OR_RETURN(const std::vector<size_t> contacted,
+                      ReadReplicas(table, rs.natural_engines, LiveIndexes(rs.natural),
+                                   quorum ? ReadMode::kQuorum : ReadMode::kOne,
+                                   "quorum floor read", find_floor));
+  if (!found) {
+    return Status::NotFound();
+  }
+  if (quorum) {
     // Per-replica floors can disagree when a replica missed the insert of a
-    // newer pack (it still holds a hint): take the largest floor across a
-    // quorum, merge that row across the contacted replicas, and read-repair
+    // newer pack (it still holds a hint): take the largest floor across the
+    // quorum, rebuild that row from every contacted replica, and read-repair
     // the stale ones — a floor that silently fell back to an older pack
-    // would route the client to stale data.
-    FaultInjector* fi = options_.fault_injector;
-    const size_t ask = engines.size() / 2 + 1;
-    const std::vector<size_t> live = LiveIndexes(replicas);
-    size_t votes = 0;
-    std::vector<size_t> contacted;
-    bool found = false;
-    for (size_t idx : live) {
-      if (votes == ask) {
-        break;
-      }
-      if (fi != nullptr && fi->Fire(FaultPoint::kMediaReadError, table)) {
-        OBS_COUNTER_INC("cluster.read.replica_errors");
-        continue;
-      }
-      auto result = engines[idx]->Floor(partition, clustering);
-      if (!result.ok() && !result.status().IsNotFound()) {
-        // Corruption: replica-local failure, no vote, fail over.
-        OBS_COUNTER_INC("cluster.read.replica_errors");
-        continue;
-      }
-      if (votes > 0) {
-        ChargeRtt(1);  // extra replica hop under QUORUM
-      }
-      ++votes;
-      contacted.push_back(idx);
-      if (result.ok() && (!found || result->first > floor_id)) {
-        floor_id = result->first;
-        found = true;
-      }
-    }
-    if (votes < ask) {
-      OBS_COUNTER_INC("cluster.read.unavailable");
-      return Status::Unavailable("quorum floor read got " + std::to_string(votes) + "/" +
-                                 std::to_string(ask) + " votes");
-    }
-    if (!found) {
-      return Status::NotFound();
-    }
+    // would route the client to stale data. NotFound (stale replica) and
+    // Corruption both contribute nothing; RepairContacted restores them.
+    merged = Row{};
+    bool any = false;
     for (size_t idx : contacted) {
-      auto row = engines[idx]->Get(partition, floor_id);
-      if (row.ok()) {
-        merged.MergeNewer(*row);
-      }
-      // NotFound (stale replica) and Corruption both contribute nothing;
-      // RepairContacted below restores them from the merged copy.
+      (void)GetAndMerge(rs.natural_engines[idx], partition, floor_id, &merged, &any);
     }
-    if (RepairContacted(table, replicas, engines, contacted, partition, floor_id, merged) < ask) {
+    if (RepairContacted(table, rs, contacted, partition, floor_id, merged) < contacted.size()) {
       OBS_COUNTER_INC("cluster.read.unavailable");
       return Status::Unavailable("floor read repair could not restore a quorum");
     }
-  } else {
-    const Status s = ReadOne(table, replicas, engines, [&](StorageEngine* engine) {
-      auto result = engine->Floor(partition, clustering);
-      if (result.ok()) {
-        floor_id = result->first;
-        merged = std::move(result->second);
-      }
-      return result.status();
-    });
-    MC_RETURN_IF_ERROR(s);  // NotFound propagates as NotFound
   }
   return std::make_pair(std::move(floor_id), std::move(merged));
 }
@@ -1892,85 +1810,53 @@ Result<std::vector<std::pair<std::string, Row>>> Cluster::ReadRange(std::string_
                                                                     size_t limit) {
   OBS_SPAN("cluster.read_range");
   stats_.reads.fetch_add(1, std::memory_order_relaxed);
-  std::vector<StorageEngine*> engines;
-  MC_ASSIGN_OR_RETURN(std::vector<Node*> replicas, ReplicasFor(table, partition, &engines));
-  (void)replicas;
+  MC_ASSIGN_OR_RETURN(const ReplicaSet rs, ResolveReplicas(table, partition));
   ChargeRtt(1);
 
+  const bool quorum = options_.consistency == Consistency::kQuorum;
   std::vector<std::pair<std::string, Row>> out;
-  if (options_.consistency == Consistency::kQuorum) {
-    // Union the scans of a quorum, merging rows per clustering key, then
-    // read-repair the contacted replicas so everything returned is durable
-    // on a quorum (same rationale as Read/ReadFloor).
-    FaultInjector* fi = options_.fault_injector;
-    const size_t ask = engines.size() / 2 + 1;
-    const std::vector<size_t> live = LiveIndexes(replicas);
-    size_t votes = 0;
-    std::vector<size_t> contacted;
-    std::map<std::string, Row> merged;
-    for (size_t idx : live) {
-      if (votes == ask) {
-        break;
-      }
-      if (fi != nullptr && fi->Fire(FaultPoint::kMediaReadError, table)) {
-        OBS_COUNTER_INC("cluster.read.replica_errors");
-        continue;
-      }
-      const Status s =
-          engines[idx]->Scan(partition, lo, hi, limit, [&](std::string_view c, const Row& row) {
-            merged[std::string(c)].MergeNewer(row);
-            return true;
-          });
-      if (!s.ok()) {
-        // Media error or Corruption mid-scan: the replica contributes no
-        // vote (partial rows it merged are still valid LWW inputs).
-        OBS_COUNTER_INC("cluster.read.replica_errors");
-        continue;
-      }
-      if (votes > 0) {
-        ChargeRtt(1);  // extra replica hop under QUORUM
-      }
-      ++votes;
-      contacted.push_back(idx);
+  std::map<std::string, Row> merged;  // QUORUM: the contacted scans, merged per key
+  const auto scan = [&](StorageEngine* engine) {
+    if (quorum) {
+      // A scan that fails midway casts no vote, but the rows it merged are
+      // still valid LWW inputs.
+      return engine->Scan(partition, lo, hi, limit, [&](std::string_view c, const Row& row) {
+        merged[std::string(c)].MergeNewer(row);
+        return true;
+      });
     }
-    if (votes < ask) {
+    std::vector<std::pair<std::string, Row>> rows;
+    const Status scanned =
+        engine->Scan(partition, lo, hi, limit, [&](std::string_view c, const Row& row) {
+          rows.emplace_back(std::string(c), row);
+          return true;
+        });
+    if (scanned.ok()) {
+      out = std::move(rows);
+    }
+    return scanned;
+  };
+  MC_ASSIGN_OR_RETURN(const std::vector<size_t> contacted,
+                      ReadReplicas(table, rs.natural_engines, LiveIndexes(rs.natural),
+                                   quorum ? ReadMode::kQuorum : ReadMode::kOne,
+                                   "quorum range read", scan));
+  // Read-repair the contacted replicas so everything returned is durable on
+  // a quorum (same rationale as Read/ReadFloor).
+  for (auto& [clustering, row] : merged) {
+    if (RepairContacted(table, rs, contacted, partition, clustering, row) < contacted.size()) {
       OBS_COUNTER_INC("cluster.read.unavailable");
-      return Status::Unavailable("quorum range read got " + std::to_string(votes) + "/" +
-                                 std::to_string(ask) + " votes");
+      return Status::Unavailable("range read repair could not restore a quorum");
     }
-    for (auto& [clustering, row] : merged) {
-      if (RepairContacted(table, replicas, engines, contacted, partition, clustering, row) < ask) {
-        OBS_COUNTER_INC("cluster.read.unavailable");
-        return Status::Unavailable("range read repair could not restore a quorum");
-      }
-      out.emplace_back(clustering, std::move(row));
-      if (limit != 0 && out.size() == limit) {
-        break;
-      }
+    out.emplace_back(clustering, std::move(row));
+    if (limit != 0 && out.size() == limit) {
+      break;
     }
-  } else {
-    const Status s = ReadOne(table, replicas, engines, [&](StorageEngine* engine) {
-      std::vector<std::pair<std::string, Row>> rows;
-      const Status scan = engine->Scan(
-          partition, lo, hi, limit, [&](std::string_view clustering, const Row& row) {
-            rows.emplace_back(std::string(clustering), row);
-            return true;
-          });
-      if (scan.ok()) {
-        out = std::move(rows);
-      }
-      return scan;
-    });
-    MC_RETURN_IF_ERROR(s);
   }
   size_t bytes = 0;
   for (const auto& [clustering, row] : out) {
-    for (const auto& [name, cell] : row.cells) {
-      bytes += cell.value.size();
-    }
+    bytes += ValueBytes(row);
   }
-  stats_.bytes_to_client.fetch_add(bytes, std::memory_order_relaxed);
-  ChargeTransfer(bytes);
+  ShipToClient(bytes);
   return out;
 }
 
@@ -1979,15 +1865,10 @@ Status Cluster::DeletePartition(std::string_view table, std::string_view partiti
   MC_ASSIGN_OR_RETURN(ReplicaSet rs, ResolveReplicas(table, partition));
   ChargeRtt(1);
   const uint64_t ts = NextTimestamp();
-  for (int attempt = 0;; ++attempt) {
-    const Status s = ApplyToReplicas(table, rs, partition, "", Row{},
-                                     RequiredAcks(rs.natural_engines.size()), ts);
-    if (!IsTopologyAbort(s) || attempt >= 3) {
-      return s;
-    }
-    OBS_COUNTER_INC("ring.topology_retries");
-    MC_ASSIGN_OR_RETURN(rs, ResolveReplicas(table, partition));
-  }
+  return WithTopologyRetry(table, partition, std::move(rs), [&](const ReplicaSet& r) {
+    return ApplyToReplicas(table, r, partition, "", Row{}, RequiredAcks(r.natural_engines.size()),
+                           ts);
+  });
 }
 
 Status Cluster::DeleteRow(std::string_view table, std::string_view partition,
@@ -2000,15 +1881,10 @@ Status Cluster::DeleteRow(std::string_view table, std::string_view partition,
   for (const auto& column : columns) {
     tombstones.cells[column] = Cell{"", ts, true};
   }
-  for (int attempt = 0;; ++attempt) {
-    const Status s = ApplyToReplicas(table, rs, partition, clustering, tombstones,
-                                     RequiredAcks(rs.natural_engines.size()));
-    if (!IsTopologyAbort(s) || attempt >= 3) {
-      return s;
-    }
-    OBS_COUNTER_INC("ring.topology_retries");
-    MC_ASSIGN_OR_RETURN(rs, ResolveReplicas(table, partition));
-  }
+  return WithTopologyRetry(table, partition, std::move(rs), [&](const ReplicaSet& r) {
+    return ApplyToReplicas(table, r, partition, clustering, tombstones,
+                           RequiredAcks(r.natural_engines.size()));
+  });
 }
 
 size_t Cluster::TableAtRestBytes(std::string_view table) {
@@ -2091,105 +1967,98 @@ void SetAsyncGauges(const Executor* pool) {
   OBS_GAUGE_SET("cluster.async.inflight", static_cast<int64_t>(pool->InFlight()));
 }
 
-}  // namespace
-
-void Cluster::AsyncMutate(std::string_view table, std::string_view partition,
-                          std::string_view clustering, const Row& update, WriteCallback done) {
-  Executor* pool = EnsureAsyncPool();
+// The body of every Async* callback entry point: runs `op` (a synchronous
+// pipeline call) on `pool` and hands its result to `done`, or completes
+// `done` inline with Unavailable when the bounded queue is full.
+template <typename Op, typename Done>
+void SubmitAsync(Executor* pool, Op op, Done done) {
   // The callback lives in a shared_ptr so a rejected TrySubmit (which
   // destroys the task lambda) cannot destroy it before we invoke it.
-  auto cb = std::make_shared<WriteCallback>(std::move(done));
+  auto cb = std::make_shared<Done>(std::move(done));
   OBS_COUNTER_INC("cluster.async.submitted");
-  const bool admitted = pool->TrySubmit([this, pool, cb, table = std::string(table),
-                                         partition = std::string(partition),
-                                         clustering = std::string(clustering), update]() {
-    Status s = Write(table, partition, clustering, update);
+  const bool admitted = pool->TrySubmit([pool, cb, op = std::move(op)]() {
+    auto result = op();
     OBS_COUNTER_INC("cluster.async.completed");
     SetAsyncGauges(pool);
-    (*cb)(std::move(s));
+    (*cb)(std::move(result));
   });
   SetAsyncGauges(pool);
   if (!admitted) {
     OBS_COUNTER_INC("cluster.async.rejected");
     (*cb)(Status::Unavailable("async pipeline at capacity"));
   }
+}
+
+// The body of every future overload: starts the callback form through
+// `start` and returns a future of the result it delivers.
+template <typename R, typename Start>
+std::future<R> AsFuture(Start start) {
+  auto promise = std::make_shared<std::promise<R>>();
+  std::future<R> future = promise->get_future();
+  start([promise](R result) { promise->set_value(std::move(result)); });
+  return future;
+}
+
+}  // namespace
+
+void Cluster::AsyncMutate(std::string_view table, std::string_view partition,
+                          std::string_view clustering, const Row& update, WriteCallback done) {
+  SubmitAsync(
+      EnsureAsyncPool(),
+      [this, table = std::string(table), partition = std::string(partition),
+       clustering = std::string(clustering), update]() {
+        return Write(table, partition, clustering, update);
+      },
+      std::move(done));
 }
 
 void Cluster::AsyncReadFloorCell(std::string_view table, std::string_view partition,
                                  std::string_view clustering, std::string_view column,
                                  ReadFloorCellCallback done) {
-  Executor* pool = EnsureAsyncPool();
-  auto cb = std::make_shared<ReadFloorCellCallback>(std::move(done));
-  OBS_COUNTER_INC("cluster.async.submitted");
-  const bool admitted = pool->TrySubmit([this, pool, cb, table = std::string(table),
-                                         partition = std::string(partition),
-                                         clustering = std::string(clustering),
-                                         column = std::string(column)]() {
-    auto result = ReadFloorCell(table, partition, clustering, column);
-    OBS_COUNTER_INC("cluster.async.completed");
-    SetAsyncGauges(pool);
-    (*cb)(std::move(result));
-  });
-  SetAsyncGauges(pool);
-  if (!admitted) {
-    OBS_COUNTER_INC("cluster.async.rejected");
-    (*cb)(Status::Unavailable("async pipeline at capacity"));
-  }
+  SubmitAsync(
+      EnsureAsyncPool(),
+      [this, table = std::string(table), partition = std::string(partition),
+       clustering = std::string(clustering), column = std::string(column)]() {
+        return ReadFloorCell(table, partition, clustering, column);
+      },
+      std::move(done));
 }
 
 void Cluster::AsyncGetRange(std::string_view table, std::string_view partition,
                             std::string_view lo, std::string_view hi, size_t limit,
                             GetRangeCallback done) {
-  Executor* pool = EnsureAsyncPool();
-  auto cb = std::make_shared<GetRangeCallback>(std::move(done));
-  OBS_COUNTER_INC("cluster.async.submitted");
-  const bool admitted = pool->TrySubmit([this, pool, cb, table = std::string(table),
-                                         partition = std::string(partition),
-                                         lo = std::string(lo), hi = std::string(hi), limit]() {
-    auto result = ReadRange(table, partition, lo, hi, limit);
-    OBS_COUNTER_INC("cluster.async.completed");
-    SetAsyncGauges(pool);
-    (*cb)(std::move(result));
-  });
-  SetAsyncGauges(pool);
-  if (!admitted) {
-    OBS_COUNTER_INC("cluster.async.rejected");
-    (*cb)(Status::Unavailable("async pipeline at capacity"));
-  }
+  SubmitAsync(
+      EnsureAsyncPool(),
+      [this, table = std::string(table), partition = std::string(partition),
+       lo = std::string(lo), hi = std::string(hi), limit]() {
+        return ReadRange(table, partition, lo, hi, limit);
+      },
+      std::move(done));
 }
 
 std::future<Status> Cluster::AsyncMutate(std::string_view table, std::string_view partition,
                                          std::string_view clustering, const Row& update) {
-  auto promise = std::make_shared<std::promise<Status>>();
-  std::future<Status> future = promise->get_future();
-  AsyncMutate(table, partition, clustering, update,
-              [promise](Status s) { promise->set_value(std::move(s)); });
-  return future;
+  return AsFuture<Status>([&](WriteCallback done) {
+    AsyncMutate(table, partition, clustering, update, std::move(done));
+  });
 }
 
 std::future<Result<std::pair<std::string, std::string>>> Cluster::AsyncReadFloorCell(
     std::string_view table, std::string_view partition, std::string_view clustering,
     std::string_view column) {
-  auto promise = std::make_shared<std::promise<Result<std::pair<std::string, std::string>>>>();
-  auto future = promise->get_future();
-  AsyncReadFloorCell(table, partition, clustering, column,
-                     [promise](Result<std::pair<std::string, std::string>> r) {
-                       promise->set_value(std::move(r));
-                     });
-  return future;
+  return AsFuture<Result<std::pair<std::string, std::string>>>(
+      [&](ReadFloorCellCallback done) {
+        AsyncReadFloorCell(table, partition, clustering, column, std::move(done));
+      });
 }
 
 std::future<Result<std::vector<std::pair<std::string, Row>>>> Cluster::AsyncGetRange(
     std::string_view table, std::string_view partition, std::string_view lo,
     std::string_view hi, size_t limit) {
-  auto promise =
-      std::make_shared<std::promise<Result<std::vector<std::pair<std::string, Row>>>>>();
-  auto future = promise->get_future();
-  AsyncGetRange(table, partition, lo, hi, limit,
-                [promise](Result<std::vector<std::pair<std::string, Row>>> r) {
-                  promise->set_value(std::move(r));
-                });
-  return future;
+  return AsFuture<Result<std::vector<std::pair<std::string, Row>>>>(
+      [&](GetRangeCallback done) {
+        AsyncGetRange(table, partition, lo, hi, limit, std::move(done));
+      });
 }
 
 void Cluster::ResetPerfCounters() {

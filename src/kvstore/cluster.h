@@ -402,10 +402,14 @@ class Cluster {
   void ChargeRtt(int round_trips);
   void ChargeTransfer(size_t bytes);
 
-  Result<ReplicaSet> ResolveReplicas(std::string_view table, std::string_view partition);
+  // Stamps every cell of `row` with `ts`, then counts its names and values as
+  // bytes_from_client and charges their transfer.
+  void StampAndUpload(Row* row, uint64_t ts);
 
-  Result<std::vector<Node*>> ReplicasFor(std::string_view table, std::string_view partition,
-                                         std::vector<StorageEngine*>* engines);
+  // Counts `bytes` as bytes_to_client and charges their transfer.
+  void ShipToClient(size_t bytes);
+
+  Result<ReplicaSet> ResolveReplicas(std::string_view table, std::string_view partition);
 
   // nodes_ accessors that take ring_mu_ shared (the vector grows under the
   // exclusive lock during bootstrap; holding either ring_mu_ or down_mu_
@@ -442,22 +446,48 @@ class Cluster {
   void SetInflight(const std::optional<TopologyOp>& op);
   void UpdateServingGauge();
 
-  // Indexes into `replicas` whose node is currently up. Caller holds down_mu_.
-  std::vector<size_t> LiveIndexesLocked(const std::vector<Node*>& replicas) const;
-
-  // Same, taking the lock (snapshot; a node may flap right after).
+  // Indexes into `replicas` whose node is currently up (a snapshot taken
+  // under down_mu_; a node may flap right after).
   std::vector<size_t> LiveIndexes(const std::vector<Node*>& replicas) const;
 
-  // CL=ONE read driver: round-robin among the partition's live replicas
-  // (models Cassandra's load-balancing snitch; writes go to all replicas
-  // synchronously, so any replica is up to date), failing over past injected
-  // media read errors AND replicas that answer Corruption. `op` runs the
-  // actual engine read and returns its status; ok/NotFound both count as
-  // served. Unavailable when no live replica can serve; the last Corruption
-  // when every replica's copy is bad — never corrupt data.
-  Status ReadOne(std::string_view table, const std::vector<Node*>& replicas,
-                 const std::vector<StorageEngine*>& engines,
-                 const std::function<Status(StorageEngine*)>& op);
+  // How ReadReplicas collects votes.
+  enum class ReadMode {
+    // CL=ONE: one vote, starting at the round-robin cursor (Cassandra's
+    // load-balancing snitch). A CL=ONE write acks on its first replica and
+    // the rest land in the background, so the chosen replica may briefly
+    // miss it; Quiesce() is the barrier for callers that must see it.
+    kOne,
+    // QUORUM read: a majority of the natural replicas in ring order, one
+    // extra replica hop charged per vote after the first.
+    kQuorum,
+    // LWT condition read: a QUORUM read inside the Paxos round, whose round
+    // trips WriteIf already charged, so no per-vote hop.
+    kLwtCondition,
+  };
+
+  // The one replica-read driver. Walks `live` (indexes into `engines`)
+  // until it has the votes `mode` needs, drawing kMediaReadError once per
+  // replica it tries. `read` runs the engine call and merges its result in
+  // the caller's state; ok and NotFound count as votes, any other status
+  // (Corruption, a failed scan) casts none and the walk fails over to the
+  // next replica — a bad block never reaches the client as data. Both kinds
+  // of skipped replica bump cluster.read.replica_errors. Returns the
+  // indexes that voted, in vote order. Short of votes, CL=ONE returns the
+  // last replica error (Unavailable when none answered) and the quorum
+  // modes return Unavailable("<what> got v/q votes"), counted as
+  // cluster.read.unavailable or cluster.lwt.unavailable.
+  Result<std::vector<size_t>> ReadReplicas(std::string_view table,
+                                           const std::vector<StorageEngine*>& engines,
+                                           const std::vector<size_t>& live, ReadMode mode,
+                                           std::string_view what,
+                                           const std::function<Status(StorageEngine*)>& read);
+
+  // Runs `round` against `rs` and, when a racing ownership flip aborted its
+  // apply, re-resolves the partition and runs it again (at most 3 retries,
+  // each counted as ring.topology_retries). Write, WriteIf and the deletes
+  // all commit through here.
+  Status WithTopologyRetry(std::string_view table, std::string_view partition, ReplicaSet rs,
+                           const std::function<Status(const ReplicaSet&)>& round);
 
   // True when `node` is in the partition's replica set.
   bool NodeReplicates(int node, std::string_view partition) const;
@@ -471,7 +501,7 @@ class Cluster {
   // Applies `update` to every live replica engine; queues hints for down or
   // failing ones. Unavailable (with hints already queued — the classic
   // ambiguous write) when fewer than `required_acks` replicas persisted it.
-  // `engines` and `replicas` are parallel arrays from ReplicasFor.
+  // The legs are rs's natural replicas plus its pending endpoints.
   //
   // Two-phase fan-out: phase 1 (under down_mu_, in replica order) resolves
   // down-ness and draws the coordinator fault points, producing a per-replica
@@ -512,8 +542,8 @@ class Cluster {
   // quorum before answering — otherwise a client verifying an ambiguous LWT
   // could ack state seen on a single replica, which a later writer reading a
   // disjoint quorum would silently overwrite.
-  size_t RepairContacted(std::string_view table, const std::vector<Node*>& replicas,
-                         const std::vector<StorageEngine*>& engines,
+  // `contacted` indexes rs's natural replicas (ReadReplicas' result).
+  size_t RepairContacted(std::string_view table, const ReplicaSet& rs,
                          const std::vector<size_t>& contacted, std::string_view partition,
                          std::string_view clustering, const Row& merged);
 

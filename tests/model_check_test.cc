@@ -28,6 +28,7 @@
 #include "src/core/generic_client.h"
 #include "src/crypto/crypto.h"
 #include "src/index/secondary_index.h"
+#include "src/kvstore/bloom.h"
 #include "src/kvstore/fault_injector.h"
 #include "src/obs/metrics.h"
 
@@ -1787,11 +1788,13 @@ TEST(ModelCheckChaos, ThirtyTwoNodeDecommissionUnderLoadHoldsInvariants) {
 // With `with_rotation`, a key rotation runs mid-sequence: its kRotatePersist /
 // kRotateReseal draws join the schedule, its bounded resume loop must replay
 // identically, and the final keyring window + durable rotation record join
-// the state fingerprint.
-std::pair<std::string, std::string> RunSingleThreadedChaos(uint64_t seed, int ops,
-                                                           bool with_topology = false,
-                                                           bool with_index = false,
-                                                           bool with_rotation = false) {
+// the state fingerprint. `consistency` selects the cluster's read/write
+// level; `modelled_wait_micros`, when non-null, receives the virtual clock at
+// the end of the run — every RTT, transfer, media, delay and backoff charge.
+std::pair<std::string, std::string> RunSingleThreadedChaos(
+    uint64_t seed, int ops, bool with_topology = false, bool with_index = false,
+    bool with_rotation = false, Consistency consistency = Consistency::kQuorum,
+    uint64_t* modelled_wait_micros = nullptr) {
   SimulatedClock clock;
   FaultInjector injector(seed);
   injector.set_record_schedule(true);
@@ -1823,6 +1826,10 @@ std::pair<std::string, std::string> RunSingleThreadedChaos(uint64_t seed, int op
   // in thread-scheduling order, so this test — and only this test — pins the
   // fan-out back to synchronous replica-order execution (docs/CONCURRENCY.md).
   copts.replica_fanout_threads = 0;
+  copts.consistency = consistency;
+  // A nonzero round trip makes every coordinator hop (including the extra
+  // hop per quorum vote) show in the modelled wait.
+  copts.rtt_micros = 300;
   Cluster cluster(copts);
   const SymmetricKey key = SymmetricKey::FromSeed("chaos-repro");
   const MiniCryptOptions options = ChaosClientOptions(seed + 7);
@@ -1924,6 +1931,9 @@ std::pair<std::string, std::string> RunSingleThreadedChaos(uint64_t seed, int op
                           : "!") +
              ";";
   }
+  if (modelled_wait_micros != nullptr) {
+    *modelled_wait_micros = clock.NowMicros();
+  }
   return {injector.ScheduleString(), state};
 }
 
@@ -1977,6 +1987,57 @@ TEST(ModelCheckChaos, SameSeedReplaysRotationScheduleAndState) {
   EXPECT_EQ(first.first.find("rotate_reseal:;"), std::string::npos);
   EXPECT_NE(first.second.find("K1/1/0.1;"), std::string::npos)
       << "fingerprint does not show a completed rotation to epoch 1: " << first.second;
+}
+
+// Golden replay: the SameSeedReplays* tests compare two runs inside one
+// binary, so they cannot notice a change that moves both runs alike. These
+// digests pin the coordinator's observable behaviour across commits — which
+// fault draws happen in which order, what the healed cluster serves, and how
+// much modelled wait the run charged. A refactor that claims "no behaviour
+// change" must leave all three untouched; an intended change regenerates them
+// from the values printed on failure. The runs seal packs with zlib, so pack
+// sizes (and through them media draws and transfer charges) also depend on
+// deflate's output; the constants were taken with zlib 1.2.13. A zlib that
+// deflates differently moves the schedule and the wait but not the state.
+struct GoldenRun {
+  const char* name;
+  uint64_t seed;
+  bool with_topology;
+  bool with_index;
+  bool with_rotation;
+  Consistency consistency;
+  uint64_t schedule_fnv;  // Fnv1a64(ScheduleString())
+  uint64_t state_fnv;     // Fnv1a64(state fingerprint)
+  uint64_t modelled_wait_micros;
+};
+
+TEST(ModelCheckChaos, GoldenReplayMatchesPinnedDigests) {
+  const GoldenRun runs[] = {
+      {"base", 0xD5EED, false, false, false, Consistency::kQuorum, 0xd6714358d5ee5b20ULL,
+       0xfac2e87ebccea82eULL, 192149},
+      {"topology", 0x70D05EEDULL, true, false, false, Consistency::kQuorum, 0x6a554e245356bd54ULL,
+       0x7877dcb4466ff251ULL, 201337},
+      {"index", 0x1DE75EEDULL, false, true, false, Consistency::kQuorum, 0xc2460b8054d3131dULL,
+       0xd4153f57f5e73d0bULL, 613445},
+      {"rotation", 0x407A7E5EEDULL, false, false, true, Consistency::kQuorum, 0x3eb07c847a0c0070ULL,
+       0xac6af083f069e25bULL, 211576},
+      {"cl_one", 0xD5EED, false, false, false, Consistency::kOne, 0x355f9929331d6c0bULL,
+       0xfac2e87ebccea82eULL, 129265},
+  };
+  for (const GoldenRun& run : runs) {
+    uint64_t wait = 0;
+    const auto [schedule, state] =
+        RunSingleThreadedChaos(run.seed, 160, run.with_topology, run.with_index,
+                               run.with_rotation, run.consistency, &wait);
+    char actual[128];
+    std::snprintf(actual, sizeof(actual), "0x%016llxULL, 0x%016llxULL, %llu",
+                  static_cast<unsigned long long>(Fnv1a64(schedule)),
+                  static_cast<unsigned long long>(Fnv1a64(state)),
+                  static_cast<unsigned long long>(wait));
+    EXPECT_EQ(Fnv1a64(schedule), run.schedule_fnv) << run.name << " schedule; actual: " << actual;
+    EXPECT_EQ(Fnv1a64(state), run.state_fnv) << run.name << " state; actual: " << actual;
+    EXPECT_EQ(wait, run.modelled_wait_micros) << run.name << " modelled wait; actual: " << actual;
+  }
 }
 
 }  // namespace
