@@ -21,8 +21,8 @@ uint64_t BlockCache::MixKey(uint64_t owner, uint64_t index) {
   return h;
 }
 
-BlockCache::Shard& BlockCache::ShardFor(uint64_t key) {
-  return *shards_[key % shards_.size()];
+BlockCache::Shard& BlockCache::ShardFor(const Key& key) const {
+  return *shards_[MixKey(key.owner, key.index) % shards_.size()];
 }
 
 std::optional<std::shared_ptr<const std::string>> BlockCache::Get(uint64_t owner,
@@ -30,7 +30,7 @@ std::optional<std::shared_ptr<const std::string>> BlockCache::Get(uint64_t owner
   if (capacity_ == 0) {
     return std::nullopt;
   }
-  const uint64_t key = MixKey(owner, index);
+  const Key key{owner, index};
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.map.find(key);
@@ -50,7 +50,7 @@ void BlockCache::Put(uint64_t owner, uint64_t index,
   if (capacity_ == 0) {
     return;
   }
-  const uint64_t key = MixKey(owner, index);
+  const Key key{owner, index};
   Shard& shard = ShardFor(key);
   const size_t per_shard = capacity_ / shards_.size();
   std::lock_guard<std::mutex> lock(shard.mu);
@@ -61,11 +61,21 @@ void BlockCache::Put(uint64_t owner, uint64_t index,
     it->second->block = std::move(block);
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
   } else {
-    shard.lru.push_front(Entry{owner, index, std::move(block)});
+    shard.lru.push_front(Entry{key, std::move(block)});
     shard.bytes += shard.lru.front().block->size();
     shard.map[key] = shard.lru.begin();
   }
   EvictLocked(shard, per_shard);
+}
+
+bool BlockCache::Contains(uint64_t owner, uint64_t index) const {
+  if (capacity_ == 0) {
+    return false;
+  }
+  const Key key{owner, index};
+  Shard& shard = ShardFor(key);
+  std::lock_guard<std::mutex> lock(shard.mu);
+  return shard.map.count(key) != 0;
 }
 
 void BlockCache::EvictLocked(Shard& shard, size_t per_shard_capacity) {
@@ -73,7 +83,7 @@ void BlockCache::EvictLocked(Shard& shard, size_t per_shard_capacity) {
   while (shard.bytes > per_shard_capacity && !shard.lru.empty()) {
     const Entry& victim = shard.lru.back();
     shard.bytes -= victim.block->size();
-    shard.map.erase(MixKey(victim.owner, victim.index));
+    shard.map.erase(victim.key);
     shard.lru.pop_back();
     shard.evictions++;
     evicted++;
@@ -88,9 +98,9 @@ void BlockCache::EraseOwner(uint64_t owner) {
     Shard& shard = *shard_ptr;
     std::lock_guard<std::mutex> lock(shard.mu);
     for (auto it = shard.lru.begin(); it != shard.lru.end();) {
-      if (it->owner == owner) {
+      if (it->key.owner == owner) {
         shard.bytes -= it->block->size();
-        shard.map.erase(MixKey(it->owner, it->index));
+        shard.map.erase(it->key);
         it = shard.lru.erase(it);
       } else {
         ++it;

@@ -29,11 +29,18 @@ class BlockCache {
   // `capacity_bytes` == 0 disables caching entirely (every lookup misses).
   explicit BlockCache(size_t capacity_bytes, int shards = 8);
 
-  // Key is (table id << 32 | sstable id) combined with the block index by the
-  // caller; we take an opaque 128-bit-ish key as two u64s.
+  // A block is keyed by (owner, index): the owner is the SSTable id (each
+  // engine of a node offsets its ids into a disjoint range), the index is the
+  // block's position in that table. Lookups compare the whole pair, so two
+  // keys that hash alike never serve each other's block.
   std::optional<std::shared_ptr<const std::string>> Get(uint64_t owner, uint64_t index);
 
   void Put(uint64_t owner, uint64_t index, std::shared_ptr<const std::string> block);
+
+  // Whether (owner, index) is resident. A pure probe: it counts no hit or
+  // miss and leaves the LRU order alone, so compaction can ask which of its
+  // inputs were hot without skewing the hit ratio or refreshing them.
+  bool Contains(uint64_t owner, uint64_t index) const;
 
   // Drops every block belonging to `owner` (called when an SSTable dies in
   // compaction).
@@ -47,15 +54,24 @@ class BlockCache {
   size_t capacity_bytes() const { return capacity_; }
 
  private:
-  struct Entry {
+  struct Key {
     uint64_t owner;
     uint64_t index;
+    bool operator==(const Key& other) const {
+      return owner == other.owner && index == other.index;
+    }
+  };
+  struct KeyHash {
+    size_t operator()(const Key& key) const { return MixKey(key.owner, key.index); }
+  };
+  struct Entry {
+    Key key;
     std::shared_ptr<const std::string> block;
   };
   struct Shard {
     mutable std::mutex mu;
     std::list<Entry> lru;  // front = most recent
-    std::unordered_map<uint64_t, std::list<Entry>::iterator> map;
+    std::unordered_map<Key, std::list<Entry>::iterator, KeyHash> map;
     size_t bytes = 0;
     uint64_t hits = 0;
     uint64_t misses = 0;
@@ -63,7 +79,7 @@ class BlockCache {
   };
 
   static uint64_t MixKey(uint64_t owner, uint64_t index);
-  Shard& ShardFor(uint64_t key);
+  Shard& ShardFor(const Key& key) const;
   void EvictLocked(Shard& shard, size_t per_shard_capacity);
 
   size_t capacity_;

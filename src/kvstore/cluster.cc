@@ -215,6 +215,15 @@ void Cluster::ChargeRtt(int round_trips) {
   }
 }
 
+void Cluster::ChargeReplicaHop() {
+  const auto micros = static_cast<uint64_t>(std::llround(
+      static_cast<double>(options_.replica_hop_micros) * options_.latency_scale));
+  if (micros > 0) {
+    OBS_COUNTER_ADD("net.replica_hop.charged_micros", micros);
+    options_.clock->SleepMicros(micros);
+  }
+}
+
 void Cluster::ChargeTransfer(size_t bytes) {
   if (options_.network_bytes_per_micro <= 0) {
     return;
@@ -457,7 +466,7 @@ Result<std::vector<size_t>> Cluster::ReadReplicas(
       continue;
     }
     if (mode == ReadMode::kQuorum && !contacted.empty()) {
-      ChargeRtt(1);  // extra replica hop under QUORUM
+      ChargeReplicaHop();  // extra replica hop under QUORUM
     }
     contacted.push_back(idx);
   }

@@ -400,6 +400,9 @@ class Cluster {
   };
 
   void ChargeRtt(int round_trips);
+  // One coordinator <-> replica hop (`replica_hop_micros`), paid per extra
+  // vote of a QUORUM read.
+  void ChargeReplicaHop();
   void ChargeTransfer(size_t bytes);
 
   // Stamps every cell of `row` with `ts`, then counts its names and values as

@@ -24,6 +24,9 @@ uint32_t Crc32(std::string_view data) {
 // Magic bytes of the v2 checksummed footer (docs/FORMATS.md).
 constexpr std::string_view kFooterMagic = "MCS2";
 
+// Tag byte in front of, and fixed32 CRC behind, every at-rest block body.
+constexpr size_t kBlockFramingBytes = 1 + 4;
+
 // Little-endian fixed32 from the first 4 bytes, 0 when too short.
 uint32_t ReadFixed32(std::string_view bytes) {
   auto v = GetFixed32(&bytes);
@@ -33,20 +36,22 @@ uint32_t ReadFixed32(std::string_view bytes) {
 // v2 at-rest framing: 1-byte tag (0 = raw, 1 = zlib) + payload + fixed32
 // CRC32 over tag||payload. The CRC suffix is appended by the builder; these
 // helpers frame/unframe the tag||payload body. Incompressible blocks stay raw.
+// The body is reserved with room for the CRC, so the stored block (which the
+// block cache pins) carries no spare capacity.
 std::string CompressBlockBody(std::string_view raw, bool server_compression) {
   if (server_compression) {
     const Compressor* zlib = FindCompressor("zlib");
     auto compressed = zlib->Compress(raw);
     if (compressed.ok() && compressed->size() + 1 < raw.size()) {
       std::string out;
-      out.reserve(compressed->size() + 1);
+      out.reserve(compressed->size() + kBlockFramingBytes);
       out.push_back('\x01');
       out.append(*compressed);
       return out;
     }
   }
   std::string out;
-  out.reserve(raw.size() + 1);
+  out.reserve(raw.size() + kBlockFramingBytes);
   out.push_back('\x00');
   out.append(raw);
   return out;
@@ -109,11 +114,11 @@ void SstableBuilder::FlushBlock() {
   if (pending_.empty()) {
     return;
   }
-  block_raw_bytes_.push_back(pending_.size());
   std::string body = CompressBlockBody(pending_, options_.server_compression);
   PutFixed32(&body, Crc32(body));  // v2: trailing block checksum
   blocks_.push_back(std::move(body));
   block_first_key_.push_back(pending_first_key_);
+  block_last_key_.push_back(last_key_);
   pending_.clear();
   pending_first_key_.clear();
 }
@@ -125,8 +130,6 @@ std::shared_ptr<Sstable> SstableBuilder::Finish(Media* media, FaultInjector* fau
     bloom.Add(k);
   }
   auto table = std::shared_ptr<Sstable>(new Sstable(id_, options_, std::move(bloom)));
-  table->blocks_ = std::move(blocks_);
-  table->block_first_key_ = std::move(block_first_key_);
   table->entry_count_ = entry_count_;
 
   // v2 footer: magic, counts, then every block's CRC + stored length + first
@@ -134,11 +137,11 @@ std::shared_ptr<Sstable> SstableBuilder::Finish(Media* media, FaultInjector* fau
   // for scrub: a bit-flip in a block disagrees with the footer even if it
   // happens to land in the block's own CRC suffix.
   std::string footer(kFooterMagic);
-  PutVarint64(&footer, table->blocks_.size());
+  PutVarint64(&footer, blocks_.size());
   PutVarint64(&footer, table->entry_count_);
-  table->block_crcs_.reserve(table->blocks_.size());
-  for (size_t i = 0; i < table->blocks_.size(); ++i) {
-    const std::string& stored = table->blocks_[i];
+  table->block_crcs_.reserve(blocks_.size());
+  for (size_t i = 0; i < blocks_.size(); ++i) {
+    const std::string& stored = blocks_[i];
     uint32_t crc = 0;
     if (stored.size() >= 4) {
       crc = ReadFixed32(std::string_view(stored.data() + stored.size() - 4, 4));
@@ -146,17 +149,18 @@ std::shared_ptr<Sstable> SstableBuilder::Finish(Media* media, FaultInjector* fau
     table->block_crcs_.push_back(crc);
     PutFixed32(&footer, crc);
     PutVarint64(&footer, stored.size());
-    PutLengthPrefixed(&footer, table->block_first_key_[i]);
+    PutLengthPrefixed(&footer, block_first_key_[i]);
   }
   PutFixed32(&footer, Crc32(footer));
   table->footer_ = std::move(footer);
 
   // Media corruption injection: one draw per stored block, after all
-  // checksums are computed, so every injected flip is detectable.
+  // checksums are computed, so every injected flip is detectable. Flips land
+  // before the blocks become shared (and immutable).
   if (fault_injector != nullptr) {
     const std::string context =
         "table '" + options_.table + "' sstable #" + std::to_string(id_);
-    for (auto& stored : table->blocks_) {
+    for (auto& stored : blocks_) {
       uint64_t draw = 0;
       if (!stored.empty() &&
           fault_injector->Fire(FaultPoint::kMediaCorruption, context, &draw)) {
@@ -167,10 +171,15 @@ std::shared_ptr<Sstable> SstableBuilder::Finish(Media* media, FaultInjector* fau
     }
   }
 
-  for (const auto& b : table->blocks_) {
+  table->blocks_.reserve(blocks_.size());
+  for (auto& b : blocks_) {
     table->at_rest_bytes_ += b.size();
+    table->blocks_.push_back(std::make_shared<const std::string>(std::move(b)));
   }
+  blocks_.clear();
   table->at_rest_bytes_ += table->footer_.size();
+  table->block_first_key_ = std::move(block_first_key_);
+  table->block_last_key_ = std::move(block_last_key_);
   if (!table->block_first_key_.empty()) {
     table->smallest_ = table->block_first_key_.front();
     table->largest_ = last_key_;
@@ -192,17 +201,40 @@ std::string Sstable::BlockContext(size_t idx) const {
 void Sstable::WarmInto(
     BlockCache* cache,
     const std::function<bool(std::string_view partition)>& serves_partition) const {
-  if (cache == nullptr) {
+  if (!serves_partition) {
+    CacheBlocks(cache);
     return;
   }
+  CacheBlocks(cache, [&](std::string_view first, std::string_view /*last*/) {
+    auto decoded = DecodeRowKey(first);
+    return decoded.ok() && serves_partition(decoded->partition);
+  });
+}
+
+size_t Sstable::CacheBlocks(
+    BlockCache* cache,
+    const std::function<bool(std::string_view first, std::string_view last)>& want) const {
+  if (cache == nullptr || cache->capacity_bytes() == 0) {
+    return 0;
+  }
+  size_t put = 0;
   for (size_t idx = 0; idx < blocks_.size(); ++idx) {
-    if (serves_partition) {
-      auto decoded = DecodeRowKey(block_first_key_[idx]);
-      if (!decoded.ok() || !serves_partition(decoded->partition)) {
-        continue;
-      }
+    if (want && !want(block_first_key_[idx], block_last_key_[idx])) {
+      continue;
     }
-    cache->Put(id_, idx, std::make_shared<const std::string>(blocks_[idx]));
+    cache->Put(id_, idx, blocks_[idx]);
+    ++put;
+  }
+  return put;
+}
+
+void Sstable::AppendResidentRanges(
+    const BlockCache& cache,
+    std::vector<std::pair<std::string_view, std::string_view>>* out) const {
+  for (size_t idx = 0; idx < blocks_.size(); ++idx) {
+    if (cache.Contains(id_, idx)) {
+      out->emplace_back(block_first_key_[idx], block_last_key_[idx]);
+    }
   }
 }
 
@@ -218,9 +250,9 @@ Result<std::shared_ptr<const std::string>> Sstable::FetchBlock(size_t idx, Block
   if (at_rest == nullptr) {
     // Media holds the at-rest form; decompress/verify per access.
     if (media != nullptr) {
-      media->Read(blocks_[idx].size());
+      media->Read(blocks_[idx]->size());
     }
-    at_rest = std::make_shared<const std::string>(blocks_[idx]);
+    at_rest = blocks_[idx];
     if (cache != nullptr) {
       cache->Put(id_, idx, at_rest);
     }
@@ -280,7 +312,7 @@ Status Sstable::VerifyChecksums(Media* media) const {
                                 std::to_string(id_) + ": footer entry " + std::to_string(idx) +
                                 " truncated");
     }
-    const std::string& stored = blocks_[idx];
+    const std::string& stored = *blocks_[idx];
     if (*stored_len != stored.size() || stored.size() < 5) {
       return CorruptionDetected(BlockContext(idx) + ": stored size " +
                                 std::to_string(stored.size()) + " != footer size " +
@@ -342,17 +374,20 @@ Result<std::optional<std::string>> Sstable::FloorKey(std::string_view prefix,
   if (blocks_.empty() || smallest_ > encoded_key) {
     return std::optional<std::string>();
   }
-  int b = FindBlock(encoded_key);
+  const int b = FindBlock(encoded_key);
   if (b < 0) {
     return std::optional<std::string>();
   }
-  // The floor may be in block b; if block b has no key <= target (cannot
-  // happen since its first key <= target), or the found floor lacks the
-  // prefix, step to earlier blocks while they can still contain the prefix.
-  while (b >= 0) {
+  // Block b's first key is <= target, so the table's floor is in block b.
+  // When the whole block is <= target the floor is its last key and the
+  // index answers without a fetch; the caller's row read verifies the block.
+  const auto idx = static_cast<size_t>(b);
+  std::string best;
+  if (block_last_key_[idx] <= encoded_key) {
+    best = block_last_key_[idx];
+  } else {
     MC_ASSIGN_OR_RETURN(std::shared_ptr<const std::string> block,
-                        FetchBlock(static_cast<size_t>(b), cache, media));
-    std::string best;
+                        FetchBlock(idx, cache, media));
     MC_RETURN_IF_ERROR(ForEachBlockEntry(*block, [&](std::string_view key, const Row& row) {
       if (key > encoded_key) {
         return false;
@@ -360,17 +395,13 @@ Result<std::optional<std::string>> Sstable::FloorKey(std::string_view prefix,
       best = std::string(key);
       return true;
     }));
-    if (!best.empty()) {
-      if (best.size() >= prefix.size() &&
-          std::string_view(best).substr(0, prefix.size()) == prefix) {
-        return std::optional<std::string>(std::move(best));
-      }
-      // The floor exists but belongs to an earlier partition — no key of this
-      // partition is <= target in this table.
-      return std::optional<std::string>();
-    }
-    --b;
   }
+  if (best.size() >= prefix.size() &&
+      std::string_view(best).substr(0, prefix.size()) == prefix) {
+    return std::optional<std::string>(std::move(best));
+  }
+  // The floor belongs to an earlier partition: no key of this partition is
+  // <= target in this table.
   return std::optional<std::string>();
 }
 

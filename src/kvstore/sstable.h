@@ -28,6 +28,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/common/status.h"
@@ -74,7 +75,7 @@ class SstableBuilder {
   SstableOptions options_;
   std::vector<std::string> blocks_;          // at-rest (possibly compressed) blocks
   std::vector<std::string> block_first_key_;
-  std::vector<size_t> block_raw_bytes_;
+  std::vector<std::string> block_last_key_;
   std::string pending_;                       // current raw block under construction
   std::string pending_first_key_;
   std::string last_key_;
@@ -117,6 +118,20 @@ class Sstable {
                 const std::function<bool(std::string_view partition)>& serves_partition = {})
       const;
 
+  // Puts each block whose key range [first, last] satisfies `want` (every
+  // block when unset) into `cache`, without a media charge. The cache shares
+  // the table's own immutable bytes, so a resident block costs no second
+  // copy. Returns how many blocks were put; 0 for a null or 0-byte cache.
+  size_t CacheBlocks(
+      BlockCache* cache,
+      const std::function<bool(std::string_view first, std::string_view last)>& want = {}) const;
+
+  // Appends the [first, last] key range of every block of this table that
+  // `cache` holds. Probes with BlockCache::Contains, so hit/miss counters and
+  // LRU order are untouched. The views live as long as this table.
+  void AppendResidentRanges(const BlockCache& cache,
+                            std::vector<std::pair<std::string_view, std::string_view>>* out) const;
+
   uint64_t id() const { return id_; }
   size_t entry_count() const { return entry_count_; }
   size_t block_count() const { return blocks_.size(); }
@@ -144,8 +159,13 @@ class Sstable {
   uint64_t id_;
   SstableOptions options_;
   BloomFilter bloom_;
-  std::vector<std::string> blocks_;  // at-rest form ("on media"), CRC-suffixed
+  // At-rest form ("on media"), CRC-suffixed. Immutable once built, so the
+  // block cache holds these same pointers instead of copies.
+  std::vector<std::shared_ptr<const std::string>> blocks_;
   std::vector<std::string> block_first_key_;
+  // In-memory index only (not in the footer): lets FloorKey answer from the
+  // index and compaction match output blocks to hot input ranges.
+  std::vector<std::string> block_last_key_;
   std::vector<uint32_t> block_crcs_;  // authoritative copy, mirrored in footer_
   std::string footer_;                // v2 checksummed footer (see FORMATS.md)
   size_t entry_count_ = 0;

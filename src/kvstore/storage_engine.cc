@@ -1,11 +1,42 @@
 #include "src/kvstore/storage_engine.h"
 
 #include <algorithm>
+#include <iterator>
 #include <map>
 
 #include "src/obs/metrics.h"
 
 namespace minicrypt {
+
+namespace {
+
+using KeyRange = std::pair<std::string_view, std::string_view>;  // [first, last]
+
+// Sorts `ranges` by first key and merges overlapping ones, leaving disjoint
+// ranges whose first and last keys both ascend.
+void Coalesce(std::vector<KeyRange>* ranges) {
+  std::sort(ranges->begin(), ranges->end());
+  size_t out = 0;
+  for (const KeyRange& r : *ranges) {
+    if (out > 0 && r.first <= (*ranges)[out - 1].second) {
+      (*ranges)[out - 1].second = std::max((*ranges)[out - 1].second, r.second);
+    } else {
+      (*ranges)[out++] = r;
+    }
+  }
+  ranges->resize(out);
+}
+
+// Whether [first, last] overlaps one of the coalesced `ranges`.
+bool Overlaps(const std::vector<KeyRange>& ranges, std::string_view first,
+              std::string_view last) {
+  // The last range starting at or before `last` is the only candidate.
+  auto it = std::upper_bound(ranges.begin(), ranges.end(), last,
+                             [](std::string_view key, const KeyRange& r) { return key < r.first; });
+  return it != ranges.begin() && std::prev(it)->second >= first;
+}
+
+}  // namespace
 
 StorageEngine::StorageEngine(StorageEngineOptions options, BlockCache* cache, Media* media,
                              std::unique_ptr<LogSink> log_sink)
@@ -76,7 +107,11 @@ Status StorageEngine::FlushLocked() {
   for (const auto& [key, row] : memtable_.entries()) {
     builder.Add(key, row);
   }
-  sstables_.insert(sstables_.begin(), builder.Finish(media_, options_.fault_injector));
+  std::shared_ptr<Sstable> table = builder.Finish(media_, options_.fault_injector);
+  // Freshly written rows are the likeliest to be read next: keep the new
+  // table resident, as a page cache would after the write.
+  OBS_COUNTER_ADD("engine.flush.cached_blocks", table->CacheBlocks(cache_));
+  sstables_.insert(sstables_.begin(), std::move(table));
   memtable_.Clear();
   if (log_ != nullptr) {
     MC_RETURN_IF_ERROR(log_->Retire());
@@ -269,8 +304,21 @@ Status StorageEngine::CompactLocked() {
     sstables_.push_back(builder.Finish(media_, options_.fault_injector));
   }
   if (cache_ != nullptr) {
+    // Carry cache residency over: an output block goes into the cache when
+    // its key range overlaps an input block the cache held. Cold data stays
+    // cold, so a node whose data exceeds its cache does not flood the LRU.
+    std::vector<KeyRange> hot;
     for (const auto& table : old) {
+      table->AppendResidentRanges(*cache_, &hot);
       cache_->EraseOwner(table->id());
+    }
+    if (!sstables_.empty() && !hot.empty()) {
+      Coalesce(&hot);
+      OBS_COUNTER_ADD("engine.compaction.cached_blocks",
+                      sstables_.front()->CacheBlocks(
+                          cache_, [&](std::string_view first, std::string_view last) {
+                            return Overlaps(hot, first, last);
+                          }));
     }
   }
   return Status::Ok();

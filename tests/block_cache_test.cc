@@ -66,6 +66,44 @@ TEST(BlockCache, EraseOwnerDropsOnlyThatOwner) {
   }
 }
 
+TEST(BlockCache, KeysThatMixAlikeStayDistinct) {
+  // MixKey(1, 0) == MixKey(0, 0x9e3779b97f4a7c15): the hash alone would let
+  // one table's block answer for the other's.
+  BlockCache cache(1 << 20, 4);
+  constexpr uint64_t kGolden = 0x9e3779b97f4a7c15ULL;
+  cache.Put(1, 0, Block(100, 'a'));
+  cache.Put(0, kGolden, Block(60, 'b'));
+  EXPECT_EQ(cache.Stats().bytes_used, 160u);
+  auto first = cache.Get(1, 0);
+  auto second = cache.Get(0, kGolden);
+  ASSERT_TRUE(first.has_value());
+  ASSERT_TRUE(second.has_value());
+  EXPECT_EQ((**first)[0], 'a');
+  EXPECT_EQ((**second)[0], 'b');
+  cache.EraseOwner(0);
+  EXPECT_FALSE(cache.Contains(0, kGolden));
+  EXPECT_TRUE(cache.Contains(1, 0));
+  EXPECT_EQ(cache.Stats().bytes_used, 100u);
+}
+
+TEST(BlockCache, ContainsCountsNothingAndKeepsLruOrder) {
+  BlockCache cache(300, /*shards=*/1);
+  cache.Put(1, 0, Block(100, 'a'));
+  cache.Put(1, 1, Block(100, 'b'));
+  cache.Put(1, 2, Block(100, 'c'));
+  const BlockCacheStats before = cache.Stats();
+  EXPECT_TRUE(cache.Contains(1, 0));
+  EXPECT_FALSE(cache.Contains(1, 9));
+  const BlockCacheStats after = cache.Stats();
+  EXPECT_EQ(after.hits, before.hits);
+  EXPECT_EQ(after.misses, before.misses);
+  // Block 0 is still the LRU victim: probing it did not refresh it.
+  cache.Put(1, 3, Block(100, 'd'));
+  EXPECT_FALSE(cache.Contains(1, 0));
+  EXPECT_TRUE(cache.Contains(1, 1));
+  EXPECT_FALSE(BlockCache(0).Contains(1, 0));
+}
+
 TEST(BlockCache, ZeroCapacityDisablesCaching) {
   BlockCache cache(0);
   cache.Put(1, 0, Block(10));
@@ -87,6 +125,7 @@ TEST(BlockCache, ConcurrentMixedAccessIsSafe) {
           if (block.has_value()) {
             ASSERT_EQ((*block)->size(), 64u);
           }
+          (void)cache.Contains(static_cast<uint64_t>(t % 2), key);
         }
         if (i % 500 == 0) {
           cache.EraseOwner(0);

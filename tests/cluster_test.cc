@@ -4,6 +4,7 @@
 
 #include <thread>
 
+#include "src/common/clock.h"
 #include "src/common/coding.h"
 #include "src/kvstore/ring.h"
 
@@ -196,6 +197,26 @@ TEST_F(ClusterTest, StatsCountersAdvance) {
   EXPECT_GT(cluster_.stats().bytes_to_client.load(), 0u);
   cluster_.ResetPerfCounters();
   EXPECT_EQ(cluster_.stats().reads.load(), 0u);
+}
+
+TEST(ClusterNetworkModel, QuorumReadChargesOneReplicaHopPerExtraVote) {
+  SimulatedClock clock;
+  ClusterOptions o = ClusterOptions::ForTest();
+  o.node_count = 3;
+  o.replication_factor = 3;
+  o.replica_fanout_threads = 0;
+  o.consistency = Consistency::kQuorum;
+  o.clock = &clock;
+  o.rtt_micros = 300;
+  o.replica_hop_micros = 120;
+  o.network_bytes_per_micro = 0;  // no transfer charge: only hops count
+  Cluster cluster(o);
+  ASSERT_TRUE(cluster.CreateTable("t").ok());
+  ASSERT_TRUE(cluster.Write("t", "p", EncodeKey64(1), ValueRow("q")).ok());
+  const uint64_t votes = static_cast<uint64_t>(o.replication_factor / 2 + 1);
+  const uint64_t before = clock.NowMicros();
+  ASSERT_TRUE(cluster.Read("t", "p", EncodeKey64(1)).ok());
+  EXPECT_EQ(clock.NowMicros() - before, 300 + 120 * (votes - 1));
 }
 
 TEST(HashRing, ReplicasAreDistinctAndStable) {

@@ -1827,9 +1827,10 @@ std::pair<std::string, std::string> RunSingleThreadedChaos(
   // fan-out back to synchronous replica-order execution (docs/CONCURRENCY.md).
   copts.replica_fanout_threads = 0;
   copts.consistency = consistency;
-  // A nonzero round trip makes every coordinator hop (including the extra
-  // hop per quorum vote) show in the modelled wait.
+  // Nonzero network costs make every client round trip and every extra
+  // replica hop per quorum vote show in the modelled wait.
   copts.rtt_micros = 300;
+  copts.replica_hop_micros = 300;
   Cluster cluster(copts);
   const SymmetricKey key = SymmetricKey::FromSeed("chaos-repro");
   const MiniCryptOptions options = ChaosClientOptions(seed + 7);

@@ -398,5 +398,100 @@ TEST_F(StorageEngineTest, CompactionSkipsWhenAnInputTableIsCorrupt) {
   EXPECT_TRUE(engine.Get("p1", EncodeKey64(79)).ok());
 }
 
+uint64_t CacheLookups(const BlockCache& cache) {
+  const BlockCacheStats stats = cache.Stats();
+  return stats.hits + stats.misses;
+}
+
+TEST_F(StorageEngineTest, FlushWritesTheNewTableThroughTheCache) {
+  for (uint64_t k = 0; k < 100; ++k) {
+    ASSERT_TRUE(engine_->Apply("p1", EncodeKey64(k), ValueRow("v" + std::to_string(k), ++ts_)).ok());
+  }
+  ASSERT_TRUE(engine_->Flush().ok());
+  const uint64_t reads_before = media_.stats().reads.load();
+  for (uint64_t k = 0; k < 100; ++k) {
+    ASSERT_TRUE(engine_->Get("p1", EncodeKey64(k)).ok()) << k;
+  }
+  EXPECT_EQ(media_.stats().reads.load(), reads_before);
+}
+
+TEST_F(StorageEngineTest, CompactionKeepsHotBlocksCachedAndColdBlocksCold) {
+  // One shard so residency is a plain LRU over 4 KB: well under the table.
+  BlockCache cache(4 * 1024, /*shards=*/1);
+  NullMedia media;
+  StorageEngineOptions opts;
+  opts.memtable_flush_bytes = 1 << 20;
+  opts.compaction_trigger = 2;
+  opts.sstable.block_bytes = 512;
+  StorageEngine engine(opts, &cache, &media, std::make_unique<MemoryLogSink>());
+  const std::string value(100, 'x');
+  for (uint64_t k = 0; k < 200; ++k) {
+    ASSERT_TRUE(engine.Apply("p1", EncodeKey64(k), ValueRow(value, ++ts_)).ok());
+  }
+  ASSERT_TRUE(engine.Flush().ok());
+  ASSERT_GT(engine.AtRestBytes(), 4 * cache.capacity_bytes());
+  // Start cold, then heat the first few keys' block.
+  cache.Clear();
+  for (uint64_t k = 0; k < 3; ++k) {
+    ASSERT_TRUE(engine.Get("p1", EncodeKey64(k)).ok());
+  }
+  // A second flush reaches the trigger and compacts both tables into one.
+  ASSERT_TRUE(engine.Apply("p1", EncodeKey64(500), ValueRow(value, ++ts_)).ok());
+  ASSERT_TRUE(engine.Flush().ok());
+  ASSERT_EQ(engine.SstableCount(), 1u);
+
+  const uint64_t reads_before = media.stats().reads.load();
+  for (uint64_t k = 0; k < 3; ++k) {
+    ASSERT_TRUE(engine.Get("p1", EncodeKey64(k)).ok());
+  }
+  EXPECT_EQ(media.stats().reads.load(), reads_before);  // hot rows stayed resident
+  ASSERT_TRUE(engine.Get("p1", EncodeKey64(100)).ok());
+  EXPECT_EQ(media.stats().reads.load(), reads_before + 1);  // never read: still cold
+}
+
+TEST_F(StorageEngineTest, CorruptBlockWrittenThroughTheCacheIsStillRejected) {
+  FaultInjector injector(0xC2);
+  injector.SetRate(FaultPoint::kMediaCorruption, 1.0);
+  StorageEngineOptions opts;
+  opts.memtable_flush_bytes = 1 << 20;
+  opts.sstable.block_bytes = 512;
+  opts.fault_injector = &injector;
+  StorageEngine engine(opts, &cache_, &media_, std::make_unique<MemoryLogSink>());
+  for (uint64_t k = 0; k < 20; ++k) {
+    ASSERT_TRUE(engine.Apply("p1", EncodeKey64(k), ValueRow("v", ++ts_)).ok());
+  }
+  ASSERT_TRUE(engine.Flush().ok());
+  const uint64_t reads_before = media_.stats().reads.load();
+  const uint64_t hits_before = cache_.Stats().hits;
+  for (uint64_t k = 0; k < 20; ++k) {
+    EXPECT_TRUE(engine.Get("p1", EncodeKey64(k)).status().IsCorruption()) << k;
+  }
+  EXPECT_EQ(media_.stats().reads.load(), reads_before);  // served from the cache...
+  EXPECT_GT(cache_.Stats().hits, hits_before);           // ...and still verified
+}
+
+TEST_F(StorageEngineTest, FloorFetchesOnlyTheWinningBlock) {
+  // One row per block, three tables interleaving their keys: every table's
+  // floor is a whole block, so the index answers and only the winner's row
+  // read touches a block.
+  StorageEngineOptions opts;
+  opts.memtable_flush_bytes = 1 << 20;
+  opts.compaction_trigger = 8;
+  opts.sstable.block_bytes = 1;
+  StorageEngine engine(opts, &cache_, &media_, std::make_unique<MemoryLogSink>());
+  for (uint64_t table = 0; table < 3; ++table) {
+    for (uint64_t k = table; k < 9; k += 3) {
+      ASSERT_TRUE(engine.Apply("p1", EncodeKey64(k), ValueRow("v", ++ts_)).ok());
+    }
+    ASSERT_TRUE(engine.Flush().ok());
+  }
+  ASSERT_EQ(engine.SstableCount(), 3u);
+  const uint64_t lookups_before = CacheLookups(cache_);
+  auto floor = engine.Floor("p1", EncodeKey64(7));
+  ASSERT_TRUE(floor.ok());
+  EXPECT_EQ(floor->first, EncodeKey64(7));
+  EXPECT_EQ(CacheLookups(cache_) - lookups_before, 1u);
+}
+
 }  // namespace
 }  // namespace minicrypt
