@@ -93,18 +93,19 @@ void BlockCache::EvictLocked(Shard& shard, size_t per_shard_capacity) {
   }
 }
 
-void BlockCache::EraseOwner(uint64_t owner) {
-  for (auto& shard_ptr : shards_) {
-    Shard& shard = *shard_ptr;
+void BlockCache::EraseOwner(uint64_t owner, uint64_t block_count) {
+  if (capacity_ == 0) {
+    return;
+  }
+  for (uint64_t index = 0; index < block_count; ++index) {
+    const Key key{owner, index};
+    Shard& shard = ShardFor(key);
     std::lock_guard<std::mutex> lock(shard.mu);
-    for (auto it = shard.lru.begin(); it != shard.lru.end();) {
-      if (it->key.owner == owner) {
-        shard.bytes -= it->block->size();
-        shard.map.erase(it->key);
-        it = shard.lru.erase(it);
-      } else {
-        ++it;
-      }
+    auto it = shard.map.find(key);
+    if (it != shard.map.end()) {
+      shard.bytes -= it->second->block->size();
+      shard.lru.erase(it->second);
+      shard.map.erase(it);
     }
   }
 }

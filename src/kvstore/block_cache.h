@@ -42,9 +42,10 @@ class BlockCache {
   // inputs were hot without skewing the hit ratio or refreshing them.
   bool Contains(uint64_t owner, uint64_t index) const;
 
-  // Drops every block belonging to `owner` (called when an SSTable dies in
-  // compaction).
-  void EraseOwner(uint64_t owner);
+  // Drops blocks (owner, 0..block_count-1) — every block of an SSTable of
+  // `block_count` blocks (called when it dies in compaction). Touches only
+  // those keys' shards, never the rest of the cache.
+  void EraseOwner(uint64_t owner, uint64_t block_count);
 
   // Drops everything (a node crash wipes its RAM). Hit/miss/eviction counters
   // survive — they describe history, not contents.

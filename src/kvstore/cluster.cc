@@ -383,7 +383,7 @@ Status Cluster::WriteIf(std::string_view table, std::string_view partition,
       return GetAndMerge(engine, partition, clustering, &existing, &found);
     };
     MC_RETURN_IF_ERROR(
-        ReadReplicas(table, r.natural_engines, live, ReadMode::kLwtCondition,
+        ReadReplicas(table, r, live, ReadMode::kLwtCondition,
                      "LWT condition read", get)
             .status());
     bool pass = false;
@@ -441,25 +441,44 @@ std::vector<size_t> Cluster::LiveIndexes(const std::vector<Node*>& replicas) con
 }
 
 Result<std::vector<size_t>> Cluster::ReadReplicas(
-    std::string_view table, const std::vector<StorageEngine*>& engines,
-    const std::vector<size_t>& live, ReadMode mode, std::string_view what,
-    const std::function<Status(StorageEngine*)>& read) {
+    std::string_view table, const ReplicaSet& rs, const std::vector<size_t>& live, ReadMode mode,
+    std::string_view what, const std::function<Status(StorageEngine*)>& read) {
   const bool one = mode == ReadMode::kOne;
   if (one && live.empty()) {
     return Status::Unavailable("no live replica for read");
   }
-  const size_t want = one ? 1 : engines.size() / 2 + 1;
+  const size_t want = one ? 1 : rs.natural_engines.size() / 2 + 1;
+  // Tie-break order: CL=ONE rotates from the round-robin cursor, the quorum
+  // modes keep ring order. Least-loaded replicas go first; the loads are
+  // snapshotted once so the sort sees a fixed key.
   const uint64_t start = one ? read_rr_.fetch_add(1, std::memory_order_relaxed) : 0;
+  std::vector<std::pair<int, size_t>> order;  // (read legs in flight, replica index)
+  order.reserve(live.size());
+  for (size_t step = 0; step < live.size(); ++step) {
+    const size_t idx = live[(start + step) % live.size()];
+    order.emplace_back(rs.natural[idx]->reads_in_flight(), idx);
+  }
+  std::stable_sort(order.begin(), order.end(),
+                   [](const auto& a, const auto& b) { return a.first < b.first; });
+  if (!order.empty() && order.front().second != live[start % live.size()]) {
+    OBS_COUNTER_INC("cluster.read.steered");
+  }
   FaultInjector* fi = options_.fault_injector;
   std::vector<size_t> contacted;
   Status last = Status::Unavailable("read failed on every live replica");
-  for (size_t step = 0; step < live.size() && contacted.size() < want; ++step) {
-    const size_t idx = live[(start + step) % live.size()];
+  for (const auto& candidate : order) {
+    if (contacted.size() == want) {
+      break;
+    }
+    const size_t idx = candidate.second;
     if (fi != nullptr && fi->Fire(FaultPoint::kMediaReadError, table)) {
       OBS_COUNTER_INC("cluster.read.replica_errors");
       continue;
     }
-    const Status s = read(engines[idx]);
+    Node* node = rs.natural[idx];
+    node->BeginRead();
+    const Status s = read(rs.natural_engines[idx]);
+    node->EndRead();
     if (!s.ok() && !s.IsNotFound()) {
       OBS_COUNTER_INC("cluster.read.replica_errors");
       last = s;
@@ -1723,7 +1742,7 @@ Result<Row> Cluster::Read(std::string_view table, std::string_view partition,
     return GetAndMerge(engine, partition, clustering, &merged, &found);
   };
   MC_ASSIGN_OR_RETURN(const std::vector<size_t> contacted,
-                      ReadReplicas(table, rs.natural_engines, LiveIndexes(rs.natural),
+                      ReadReplicas(table, rs, LiveIndexes(rs.natural),
                                    quorum ? ReadMode::kQuorum : ReadMode::kOne, "quorum read",
                                    get));
   if (!found) {
@@ -1786,7 +1805,7 @@ Result<std::pair<std::string, Row>> Cluster::ReadFloorInternal(std::string_view 
     return result.status();
   };
   MC_ASSIGN_OR_RETURN(const std::vector<size_t> contacted,
-                      ReadReplicas(table, rs.natural_engines, LiveIndexes(rs.natural),
+                      ReadReplicas(table, rs, LiveIndexes(rs.natural),
                                    quorum ? ReadMode::kQuorum : ReadMode::kOne,
                                    "quorum floor read", find_floor));
   if (!found) {
@@ -1846,7 +1865,7 @@ Result<std::vector<std::pair<std::string, Row>>> Cluster::ReadRange(std::string_
     return scanned;
   };
   MC_ASSIGN_OR_RETURN(const std::vector<size_t> contacted,
-                      ReadReplicas(table, rs.natural_engines, LiveIndexes(rs.natural),
+                      ReadReplicas(table, rs, LiveIndexes(rs.natural),
                                    quorum ? ReadMode::kQuorum : ReadMode::kOne,
                                    "quorum range read", scan));
   // Read-repair the contacted replicas so everything returned is durable on

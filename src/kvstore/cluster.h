@@ -455,20 +455,26 @@ class Cluster {
 
   // How ReadReplicas collects votes.
   enum class ReadMode {
-    // CL=ONE: one vote, starting at the round-robin cursor (Cassandra's
-    // load-balancing snitch). A CL=ONE write acks on its first replica and
-    // the rest land in the background, so the chosen replica may briefly
-    // miss it; Quiesce() is the barrier for callers that must see it.
+    // CL=ONE: one vote from the least-loaded live replica, ties broken from
+    // the round-robin cursor (Cassandra's dynamic snitch). A CL=ONE write
+    // acks on its first replica and the rest land in the background, so the
+    // chosen replica may briefly miss it; Quiesce() is the barrier for
+    // callers that must see it.
     kOne,
-    // QUORUM read: a majority of the natural replicas in ring order, one
-    // extra replica hop charged per vote after the first.
+    // QUORUM read: a majority of the natural replicas, least-loaded first
+    // and ring order among equals, one extra replica hop charged per vote
+    // after the first.
     kQuorum,
     // LWT condition read: a QUORUM read inside the Paxos round, whose round
     // trips WriteIf already charged, so no per-vote hop.
     kLwtCondition,
   };
 
-  // The one replica-read driver. Walks `live` (indexes into `engines`)
+  // The one replica-read driver. Orders `live` (indexes into rs's natural
+  // replicas) by each node's read legs in flight, a stable sort over the
+  // tie-break order `mode` names, so a single-threaded run (every count 0)
+  // picks exactly the replicas it always did; a read that starts elsewhere
+  // than the tie-break order bumps cluster.read.steered. Walks that order
   // until it has the votes `mode` needs, drawing kMediaReadError once per
   // replica it tries. `read` runs the engine call and merges its result in
   // the caller's state; ok and NotFound count as votes, any other status
@@ -479,8 +485,7 @@ class Cluster {
   // last replica error (Unavailable when none answered) and the quorum
   // modes return Unavailable("<what> got v/q votes"), counted as
   // cluster.read.unavailable or cluster.lwt.unavailable.
-  Result<std::vector<size_t>> ReadReplicas(std::string_view table,
-                                           const std::vector<StorageEngine*>& engines,
+  Result<std::vector<size_t>> ReadReplicas(std::string_view table, const ReplicaSet& rs,
                                            const std::vector<size_t>& live, ReadMode mode,
                                            std::string_view what,
                                            const std::function<Status(StorageEngine*)>& read);

@@ -4,6 +4,7 @@
 #ifndef MINICRYPT_SRC_KVSTORE_NODE_H_
 #define MINICRYPT_SRC_KVSTORE_NODE_H_
 
+#include <atomic>
 #include <functional>
 #include <map>
 #include <memory>
@@ -26,6 +27,13 @@ class Node {
   Media* media() { return media_.get(); }
   const Media* media() const { return media_.get(); }
   BlockCache* cache() { return &cache_; }
+
+  // Replica read legs the coordinator is running on this node right now —
+  // the load signal its replica choice orders by. Counted per node, not per
+  // engine, because the node's engines share one media queue.
+  int reads_in_flight() const { return reads_in_flight_.load(std::memory_order_relaxed); }
+  void BeginRead() { reads_in_flight_.fetch_add(1, std::memory_order_relaxed); }
+  void EndRead() { reads_in_flight_.fetch_sub(1, std::memory_order_relaxed); }
 
   // Creates the engine for `table` if missing. `server_compression` fixes the
   // table's at-rest block compression on first creation.
@@ -51,6 +59,7 @@ class Node {
   BlockCache cache_;
   std::unique_ptr<Media> media_;
   StorageEngineOptions engine_options_;
+  std::atomic<int> reads_in_flight_{0};
 
   std::mutex mu_;
   uint64_t next_engine_ordinal_ = 0;  // sizes each engine's SSTable-id space

@@ -89,14 +89,15 @@ Status StorageEngine::ApplyInternal(std::string_view encoded_key, const Row& upd
 
 Status StorageEngine::MaybeFlush() {
   std::unique_lock<std::shared_mutex> gate(log_gate_);
-  std::lock_guard<std::mutex> lock(mu_);
+  std::unique_lock<std::mutex> lock(mu_);
   if (memtable_.ApproxBytes() < options_.memtable_flush_bytes) {
     return Status::Ok();  // a racing applier already flushed
   }
-  return FlushLocked();
+  return FlushLocked(gate, lock);
 }
 
-Status StorageEngine::FlushLocked() {
+Status StorageEngine::FlushLocked(std::unique_lock<std::shared_mutex>& gate,
+                                  std::unique_lock<std::mutex>& lock) {
   if (memtable_.empty()) {
     return Status::Ok();
   }
@@ -107,7 +108,8 @@ Status StorageEngine::FlushLocked() {
   for (const auto& [key, row] : memtable_.entries()) {
     builder.Add(key, row);
   }
-  std::shared_ptr<Sstable> table = builder.Finish(media_, options_.fault_injector);
+  std::shared_ptr<Sstable> table = builder.Finish(/*media=*/nullptr, options_.fault_injector);
+  const size_t written = table->at_rest_bytes();
   // Freshly written rows are the likeliest to be read next: keep the new
   // table resident, as a page cache would after the write.
   OBS_COUNTER_ADD("engine.flush.cached_blocks", table->CacheBlocks(cache_));
@@ -116,6 +118,15 @@ Status StorageEngine::FlushLocked() {
   if (log_ != nullptr) {
     MC_RETURN_IF_ERROR(log_->Retire());
   }
+  // The table is installed and the log retired; charge its sequential write
+  // with no lock held, so appliers and readers on this engine overlap it.
+  lock.unlock();
+  gate.unlock();
+  if (media_ != nullptr && written > 0) {
+    media_->Write(written, /*sequential=*/true);
+  }
+  gate.lock();
+  lock.lock();
   if (static_cast<int>(sstables_.size()) >= options_.compaction_trigger) {
     MC_RETURN_IF_ERROR(CompactLocked());
   }
@@ -124,8 +135,8 @@ Status StorageEngine::FlushLocked() {
 
 Status StorageEngine::Flush() {
   std::unique_lock<std::shared_mutex> gate(log_gate_);
-  std::lock_guard<std::mutex> lock(mu_);
-  return FlushLocked();
+  std::unique_lock<std::mutex> lock(mu_);
+  return FlushLocked(gate, lock);
 }
 
 Status StorageEngine::Crash(uint64_t tear_draw) {
@@ -208,7 +219,7 @@ size_t StorageEngine::DropQuarantined() {
       sstables_.erase(it);
     }
     if (cache_ != nullptr) {
-      cache_->EraseOwner(table->id());
+      cache_->EraseOwner(table->id(), table->block_count());
     }
     ++dropped;
   }
@@ -310,7 +321,7 @@ Status StorageEngine::CompactLocked() {
     std::vector<KeyRange> hot;
     for (const auto& table : old) {
       table->AppendResidentRanges(*cache_, &hot);
-      cache_->EraseOwner(table->id());
+      cache_->EraseOwner(table->id(), table->block_count());
     }
     if (!sstables_.empty() && !hot.empty()) {
       Coalesce(&hot);

@@ -9,8 +9,10 @@
 //    Crash/Recover never race an in-flight Append.
 //  - mu_: serializes the memtable and sstable list. Reads take a snapshot of
 //    the sstable list under mu_ and then run lock-free against immutable
-//    tables (media sleeps happen outside the mutex so concurrent readers
-//    overlap on an SSD).
+//    tables, so read media sleeps happen outside the mutex and concurrent
+//    readers overlap on an SSD. A flush charges its table's sequential write
+//    with neither lock held. Compaction is the exception: its streaming read
+//    of the inputs and the write of its output are charged under both locks.
 //
 // Corruption handling: SSTable reads verify per-block CRCs (format v2). A
 // read that hits a bad block returns Status::Corruption to the coordinator,
@@ -179,7 +181,11 @@ class StorageEngine {
   // and the corrupt table keeps serving its intact blocks meanwhile.
   Status CompactLocked();
 
-  Status FlushLocked();
+  // Seals the memtable into a new SSTable under both locks, releases them
+  // while the table's sequential media write is charged, then re-takes them
+  // to check the compaction trigger. Called with `gate` and `lock` held.
+  Status FlushLocked(std::unique_lock<std::shared_mutex>& gate,
+                     std::unique_lock<std::mutex>& lock);
 
   Status ApplyInternal(std::string_view encoded_key, const Row& update);
 

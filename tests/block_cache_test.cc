@@ -59,11 +59,57 @@ TEST(BlockCache, EraseOwnerDropsOnlyThatOwner) {
     cache.Put(1, i, Block(50));
     cache.Put(2, i, Block(50));
   }
-  cache.EraseOwner(1);
+  cache.EraseOwner(1, 10);
   for (uint64_t i = 0; i < 10; ++i) {
     EXPECT_FALSE(cache.Get(1, i).has_value());
     EXPECT_TRUE(cache.Get(2, i).has_value());
   }
+}
+
+TEST(BlockCache, EraseOwnerLeavesOtherOwnersExactlyAsTheyWere) {
+  // One shard, so the LRU order of the survivors is observable.
+  BlockCache cache(1000, /*shards=*/1);
+  cache.Put(2, 0, Block(70, 'a'));
+  cache.Put(1, 0, Block(50));
+  cache.Put(3, 5, Block(90, 'c'));
+  cache.Put(1, 1, Block(50));
+  cache.Put(2, 1, Block(70, 'b'));
+  cache.Put(1, 2, Block(50));
+  const BlockCacheStats before = cache.Stats();
+  ASSERT_EQ(before.bytes_used, 380u);
+
+  cache.EraseOwner(1, 3);
+  const BlockCacheStats after = cache.Stats();
+  EXPECT_EQ(after.bytes_used, before.bytes_used - 150);
+  EXPECT_EQ(after.hits, before.hits);
+  EXPECT_EQ(after.misses, before.misses);
+  EXPECT_EQ(after.evictions, before.evictions);
+  for (uint64_t i = 0; i < 3; ++i) {
+    EXPECT_FALSE(cache.Contains(1, i));
+  }
+  EXPECT_TRUE(cache.Contains(2, 0));
+  EXPECT_TRUE(cache.Contains(2, 1));
+  EXPECT_TRUE(cache.Contains(3, 5));
+
+  // The survivors keep their LRU order: filling the cache evicts (2, 0)
+  // first, then (3, 5), and (2, 1) last.
+  cache.Put(9, 0, Block(771));
+  EXPECT_FALSE(cache.Contains(2, 0));
+  EXPECT_TRUE(cache.Contains(3, 5));
+  cache.Put(9, 1, Block(90));
+  EXPECT_FALSE(cache.Contains(3, 5));
+  EXPECT_TRUE(cache.Contains(2, 1));
+}
+
+TEST(BlockCache, EraseOwnerStopsAtBlockCount) {
+  BlockCache cache(1 << 20, 4);
+  cache.Put(1, 0, Block(10));
+  cache.Put(1, 1, Block(10));
+  cache.EraseOwner(1, 1);
+  EXPECT_FALSE(cache.Contains(1, 0));
+  EXPECT_TRUE(cache.Contains(1, 1));
+  cache.EraseOwner(1, 0);  // an empty table erases nothing
+  EXPECT_EQ(cache.Stats().bytes_used, 10u);
 }
 
 TEST(BlockCache, KeysThatMixAlikeStayDistinct) {
@@ -80,10 +126,10 @@ TEST(BlockCache, KeysThatMixAlikeStayDistinct) {
   ASSERT_TRUE(second.has_value());
   EXPECT_EQ((**first)[0], 'a');
   EXPECT_EQ((**second)[0], 'b');
-  cache.EraseOwner(0);
-  EXPECT_FALSE(cache.Contains(0, kGolden));
-  EXPECT_TRUE(cache.Contains(1, 0));
-  EXPECT_EQ(cache.Stats().bytes_used, 100u);
+  cache.EraseOwner(1, 1);
+  EXPECT_FALSE(cache.Contains(1, 0));
+  EXPECT_TRUE(cache.Contains(0, kGolden));
+  EXPECT_EQ(cache.Stats().bytes_used, 60u);
 }
 
 TEST(BlockCache, ContainsCountsNothingAndKeepsLruOrder) {
@@ -128,7 +174,7 @@ TEST(BlockCache, ConcurrentMixedAccessIsSafe) {
           (void)cache.Contains(static_cast<uint64_t>(t % 2), key);
         }
         if (i % 500 == 0) {
-          cache.EraseOwner(0);
+          cache.EraseOwner(0, 256);
         }
       }
     });

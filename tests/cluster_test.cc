@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <condition_variable>
+#include <mutex>
 #include <thread>
 
 #include "src/common/clock.h"
 #include "src/common/coding.h"
+#include "src/kvstore/fault_injector.h"
 #include "src/kvstore/ring.h"
+#include "src/obs/metrics.h"
 
 namespace minicrypt {
 namespace {
@@ -217,6 +221,168 @@ TEST(ClusterNetworkModel, QuorumReadChargesOneReplicaHopPerExtraVote) {
   const uint64_t before = clock.NowMicros();
   ASSERT_TRUE(cluster.Read("t", "p", EncodeKey64(1)).ok());
   EXPECT_EQ(clock.NowMicros() - before, 300 + 120 * (votes - 1));
+}
+
+// Parks the first SleepMicros after Arm() until Release(); every other sleep
+// returns at once. A media read that parks here holds its replica read leg in
+// flight for as long as a test needs.
+class ParkingClock : public Clock {
+ public:
+  uint64_t NowMicros() const override { return SystemClock::Get()->NowMicros(); }
+
+  void SleepMicros(uint64_t) override {
+    std::unique_lock<std::mutex> lock(mu_);
+    if (!armed_) {
+      return;
+    }
+    armed_ = false;
+    parked_ = true;
+    cv_.notify_all();
+    cv_.wait(lock, [&] { return released_; });
+  }
+
+  void Arm() {
+    std::lock_guard<std::mutex> lock(mu_);
+    armed_ = true;
+  }
+  void WaitParked() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [&] { return parked_; });
+  }
+  void Release() {
+    std::lock_guard<std::mutex> lock(mu_);
+    released_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool armed_ = false;
+  bool parked_ = false;
+  bool released_ = false;
+};
+
+// Replica choice under load. With no block cache every Get is exactly one
+// media read on the replica that served it, so per-node media read counts
+// say which replicas a read contacted.
+class ReplicaChoiceTest : public ::testing::Test {
+ protected:
+  void Start(Consistency consistency, FaultInjector* fi = nullptr) {
+    ClusterOptions o = ClusterOptions::ForTest();
+    o.node_count = 3;
+    o.replication_factor = 3;
+    o.replica_fanout_threads = 0;
+    o.consistency = consistency;
+    o.clock = &clock_;
+    o.network_bytes_per_micro = 0;
+    o.block_cache_bytes = 0;
+    o.media = MediaProfile::Ssd(1.0);  // a deep queue: a parked read blocks no other
+    o.fault_injector = fi;
+    cluster_ = std::make_unique<Cluster>(o);
+    ASSERT_TRUE(cluster_->CreateTable("t").ok());
+    ASSERT_TRUE(cluster_->Write("t", "p", EncodeKey64(1), ValueRow("v")).ok());
+    ASSERT_TRUE(cluster_->FlushAll().ok());
+    replicas_ = cluster_->ReplicaNodesFor("p");
+    ASSERT_EQ(replicas_.size(), 3u);
+  }
+
+  void TearDown() override {
+    if (parked_.joinable()) {
+      clock_.Release();
+      parked_.join();
+    }
+  }
+
+  // Starts a read on another thread and returns once it is parked inside
+  // its first replica's media read.
+  void ParkOneRead() {
+    clock_.Arm();
+    parked_ = std::thread([this] { EXPECT_TRUE(cluster_->Read("t", "p", EncodeKey64(1)).ok()); });
+    clock_.WaitParked();
+  }
+
+  // Media reads per replica (in ring order) that `read` caused.
+  std::vector<uint64_t> ReadsPerReplica(const std::function<void()>& read) {
+    std::vector<uint64_t> before;
+    for (int node : replicas_) {
+      before.push_back(cluster_->NodeMediaStats(node)->reads.load());
+    }
+    read();
+    std::vector<uint64_t> delta;
+    for (size_t i = 0; i < replicas_.size(); ++i) {
+      delta.push_back(cluster_->NodeMediaStats(replicas_[i])->reads.load() - before[i]);
+    }
+    return delta;
+  }
+
+  void ReadOk() {
+    auto row = cluster_->Read("t", "p", EncodeKey64(1));
+    ASSERT_TRUE(row.ok()) << row.status().ToString();
+    EXPECT_EQ(row->cells.at("v").value, "v");
+  }
+
+  static uint64_t Steered() {
+    return MetricsRegistry::Instance().GetCounter("cluster.read.steered")->Value();
+  }
+
+  ParkingClock clock_;
+  std::unique_ptr<Cluster> cluster_;
+  std::vector<int> replicas_;
+  std::thread parked_;
+};
+
+TEST_F(ReplicaChoiceTest, SingleThreadedOneReadsFollowTheRoundRobin) {
+  Start(Consistency::kOne);
+  const uint64_t steered = Steered();
+  for (size_t i = 0; i < 6; ++i) {
+    std::vector<uint64_t> want(3, 0);
+    want[i % 3] = 1;
+    EXPECT_EQ(ReadsPerReplica([&] { ReadOk(); }), want) << "read " << i;
+  }
+  EXPECT_EQ(Steered(), steered);
+}
+
+TEST_F(ReplicaChoiceTest, OneReadsAvoidAReplicaWithAReadInFlight) {
+  Start(Consistency::kOne);
+  ParkOneRead();  // round-robin start 0: parked on replicas_[0]
+  const uint64_t steered = Steered();
+  const std::vector<uint64_t> served = ReadsPerReplica([&] {
+    for (int i = 0; i < 6; ++i) {
+      ReadOk();
+    }
+  });
+  // Starts 1..6 in tie-break order begin at replicas 1, 2, 0, 1, 2, 0; the
+  // two that began at the busy replica go to replica 1, the first idle one.
+  EXPECT_EQ(served, (std::vector<uint64_t>{0, 4, 2}));
+  if (MetricsRegistry::Instance().enabled()) {
+    EXPECT_EQ(Steered() - steered, 2u);
+  }
+}
+
+TEST_F(ReplicaChoiceTest, ReadErrorFailsOverInLoadOrder) {
+  FaultInjector fi(1);
+  Start(Consistency::kOne, &fi);
+  ParkOneRead();  // round-robin start 0: parked on replicas_[0]
+  ReadOk();       // start 1
+  // Start 2: the tie-break order is 2, 0, 1, the load order 2, 1, 0. The
+  // chosen replica fails; the read goes to the idle replica, not the busy one.
+  fi.Script(FaultPoint::kMediaReadError, 1);
+  EXPECT_EQ(ReadsPerReplica([&] { ReadOk(); }), (std::vector<uint64_t>{0, 1, 0}));
+  // Start 3, load order 1, 2, 0: with both idle replicas failing, the busy
+  // one is still a live replica and serves the read.
+  fi.Script(FaultPoint::kMediaReadError, 1);
+  fi.Script(FaultPoint::kMediaReadError, 1);
+  EXPECT_EQ(ReadsPerReplica([&] { ReadOk(); }), (std::vector<uint64_t>{1, 0, 0}));
+}
+
+TEST_F(ReplicaChoiceTest, QuorumContactsTheLeastLoadedReplicas) {
+  Start(Consistency::kQuorum);
+  ParkOneRead();  // ring order: parked on replicas_[0]
+  const std::vector<uint64_t> served = ReadsPerReplica([&] { ReadOk(); });
+  EXPECT_EQ(served[0], 0u);
+  EXPECT_GT(served[1], 0u);
+  EXPECT_GT(served[2], 0u);
 }
 
 TEST(HashRing, ReplicasAreDistinctAndStable) {
